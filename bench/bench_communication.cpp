@@ -142,7 +142,7 @@ void pbft_comparison(bench::JsonReport& json) {
     // messages to commit one entry, excluding election and heartbeats.
     std::uint64_t raft_msgs = 0;
     {
-      net::EventQueue queue;
+      runtime::EventLoop queue;
       Rng rng(321);
       net::SimNetwork net(queue, rng.derive(1), net::LatencyModel{1, 5});
       std::vector<NodeId> nodes;
@@ -173,7 +173,7 @@ void pbft_comparison(bench::JsonReport& json) {
     }
 
     // PBFT: run a real cluster committing one payload.
-    net::EventQueue queue;
+    runtime::EventLoop queue;
     Rng rng(123);
     net::SimNetwork net(queue, rng.derive(1), net::LatencyModel{1, 5});
     identity::IdentityManager im(crypto::random_seed(rng));

@@ -137,7 +137,7 @@ void file_backed(bench::JsonReport& json) {
   std::filesystem::remove_all(dir);
 }
 
-// --- live-cluster restart --------------------------------------------------
+// --- live-cluster crash schedules ----------------------------------------
 
 /// Directory of this binary, for locating the sibling tools/node build.
 std::filesystem::path self_dir() {
@@ -162,100 +162,6 @@ int listen_ephemeral(std::uint16_t& port_out) {
   ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
   port_out = ntohs(addr.sin_port);
   return fd;
-}
-
-/// Live-cluster restart cost: one process per governor over loopback TCP,
-/// SIGKILL mid-run, respawn from the persisted state directory, and the
-/// convergence machinery's own timeline (kill instant, rejoin instant,
-/// converged round) as the measurement.
-void cluster_restart(bench::JsonReport& json) {
-  bench::section("live-cluster SIGKILL + restart (loopback processes)");
-  const std::filesystem::path node_bin = self_dir() / ".." / "tools" / "node";
-  if (!std::filesystem::exists(node_bin)) {
-    std::printf("  tools/node not built — skipping the cluster section\n");
-    return;
-  }
-
-  Table table({"rounds", "kill@", "restart@", "rejoin_ms", "conv_rounds",
-               "attempts", "wall_ms"});
-  table.print_header();
-  for (std::size_t rounds : {std::size_t{6}, std::size_t{10}}) {
-    sim::ScenarioConfig cfg = base_config(rounds, 2);
-    cfg.durable_governors = false;  // the node processes persist themselves
-    sim::normalize_config(cfg);
-    const std::size_t governors = cfg.topology.governors;
-
-    const auto scratch =
-        std::filesystem::temp_directory_path() /
-        ("repchain_bench_cluster_" + std::to_string(::getpid()) + "_" +
-         std::to_string(rounds));
-    std::filesystem::remove_all(scratch);
-    std::filesystem::create_directories(scratch);
-    const auto blob_path = scratch / "config.blob";
-    {
-      const Bytes blob = sim::encode_config(cfg);
-      std::ofstream out(blob_path, std::ios::binary);
-      out.write(reinterpret_cast<const char*>(blob.data()),
-                static_cast<std::streamsize>(blob.size()));
-    }
-
-    std::uint16_t port = 0;
-    const int listen_fd = listen_ephemeral(port);
-    cluster::ProcessSupervisor::Options sopts;
-    sopts.node_bin = node_bin.string();
-    sopts.config_blob = blob_path.string();
-    sopts.port = port;
-    sopts.state_root = (scratch / "state").string();
-    cluster::ProcessSupervisor sup(sopts, governors);
-    for (std::size_t i = 0; i < governors; ++i) sup.spawn(i);
-
-    std::vector<std::unique_ptr<cluster::SyncConn>> conns(governors);
-    const wire::Welcome local = cluster::driver_welcome(sim::config_genesis(cfg));
-    for (std::size_t admitted = 0; admitted < governors; ++admitted) {
-      wire::Welcome remote;
-      auto conn = cluster::admit_node(listen_fd, local, sim::config_genesis(cfg),
-                                      governors, 15'000, &remote);
-      conns[remote.node_index] = std::move(conn);
-    }
-
-    const cluster::CrashPlan plan{0, 2, rounds / 2 + 1};
-    cluster::ClusterRun run(cfg, std::move(conns));
-    run.set_supervision(
-        plan, [&sup](std::size_t i) { sup.kill(i); },
-        [&](std::size_t i, std::uint32_t incarnation) {
-          sup.spawn(i, incarnation);
-          return cluster::admit_node(listen_fd, local, sim::config_genesis(cfg),
-                                     governors, 15'000);
-        });
-    const auto t0 = std::chrono::steady_clock::now();
-    const cluster::ConvergenceReport r = run.run_converge();
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-            .count();
-    ::close(listen_fd);
-    for (std::size_t i = 0; i < governors; ++i) (void)sup.wait_exit(i);
-    std::filesystem::remove_all(scratch);
-
-    const double rejoin_ms = static_cast<double>(r.rejoined_at - r.killed_at) /
-                             static_cast<double>(kMillisecond);
-    const std::uint64_t rounds_to_converge =
-        r.converged ? r.converged_round - plan.restart_round + 1 : 0;
-    table.row({std::to_string(rounds), std::to_string(plan.kill_round),
-               std::to_string(plan.restart_round), fmt(rejoin_ms, 1),
-               std::to_string(rounds_to_converge),
-               std::to_string(r.restart_attempts), fmt(wall_ms, 1)});
-    json.row("cluster_restart",
-             {{"rounds", bench::ju(rounds)},
-              {"kill_round", bench::ju(plan.kill_round)},
-              {"restart_round", bench::ju(plan.restart_round)},
-              {"converged", r.converged ? "true" : "false"},
-              {"rejoin_sim_ms", bench::jf(rejoin_ms, 2)},
-              {"rounds_to_converge", bench::ju(rounds_to_converge)},
-              {"restart_attempts", bench::ju(r.restart_attempts)},
-              {"converge_wall_ms", bench::jf(wall_ms, 2)},
-              {"head_serial", bench::ju(r.head_serial)},
-              {"committed_txs", bench::ju(r.committed_txs)}});
-  }
 }
 
 /// Free-running multi-crash cost: nodes self-drive rounds on real clocks
@@ -384,7 +290,6 @@ int main() {
   bench::JsonReport json("recovery", 31);
   sweep(json);
   file_backed(json);
-  cluster_restart(json);
   free_run_multi_crash(json);
   json.write();
   return 0;

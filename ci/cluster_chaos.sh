@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
-# Kill/restart convergence golden with every byte routed through the
-# wire_proxy chaos intermediary: recurring forwarding stalls plus a
-# truncate-then-reset of the respawned node's first dial attempt (the
-# driver's bounded respawn loop must retry through it). CI runs this under
-# TSan with a bounded wall-clock; on failure the node logs and the
-# convergence diff land in the artifact directory.
+# Free-running kill/restart golden with every control-connection byte
+# routed through the wire_proxy chaos intermediary: recurring forwarding
+# stalls plus a truncate-then-reset of the respawned node's first dial
+# attempt (the driver's bounded respawn loop must retry through it). The
+# peer mesh stays direct, so a transaction's upload routinely beats its
+# ground truth to a node; the node must wait for the truth, not fail. CI
+# runs this under TSan with a bounded wall-clock; on failure the node logs
+# and the free_run_<scenario>.txt report land in the artifact directory.
 #
 #   usage: cluster_chaos.sh <tools-dir> <artifact-dir> [--multi]
 #
 # --multi switches to the overlapping double-kill schedule (victims 1 and 2
-# down at once — quorum loss on the 3-governor mixed golden): the driver
+# down at once — quorum loss on the 3-governor mixed golden): the cluster
 # must ride out the stall window and converge after both respawns, with the
 # first respawn dial still truncated+reset by the proxy.
 set -euo pipefail
@@ -25,6 +27,7 @@ mkdir -p "$artifacts"
 # PID-derived ports keep concurrent ctest invocations off each other.
 driver_port=$((20000 + $$ % 20000))
 proxy_port=$((driver_port + 1))
+peer_base=$((driver_port + 100))
 state_root="$(mktemp -d /tmp/repchain_chaos_XXXXXX)"
 
 # Stall all forwarding 80ms out of every 200ms, and truncate+reset the
@@ -51,6 +54,7 @@ for _ in $(seq 50); do
   sleep 0.1
 done
 
-"$tools/cluster_driver" --scenario=mixed --mode=converge "${kills[@]}" \
+"$tools/cluster_driver" --scenario=mixed --mode=free "${kills[@]}" \
   --listen-port="$driver_port" --node-port="$proxy_port" \
+  --peer-base="$peer_base" \
   --state-root="$state_root" --artifact-dir="$artifacts"

@@ -1,6 +1,5 @@
 #include "cluster/driver.hpp"
 
-#include <algorithm>
 #include <deque>
 #include <string>
 #include <utility>
@@ -20,70 +19,6 @@ wire::Welcome driver_welcome(const crypto::Hash256& genesis) {
   return w;
 }
 
-bool parse_crash_plan(const std::string& spec, CrashPlan& plan) {
-  const std::size_t at = spec.find('@');
-  const std::size_t colon = spec.find(':', at == std::string::npos ? 0 : at);
-  if (at == std::string::npos || colon == std::string::npos || at == 0 ||
-      colon <= at + 1 || colon + 1 >= spec.size()) {
-    return false;
-  }
-  try {
-    std::size_t used = 0;
-    plan.victim = std::stoul(spec.substr(0, at), &used);
-    if (used != at) return false;
-    const std::string kill = spec.substr(at + 1, colon - at - 1);
-    plan.kill_round = std::stoul(kill, &used);
-    if (used != kill.size()) return false;
-    const std::string restart = spec.substr(colon + 1);
-    plan.restart_round = std::stoul(restart, &used);
-    if (used != restart.size()) return false;
-  } catch (const std::exception&) {
-    return false;
-  }
-  return plan.kill_round > 0 && plan.restart_round > plan.kill_round;
-}
-
-void validate_crash_plans(const std::vector<CrashPlan>& plans,
-                          std::size_t governors, Round rounds) {
-  std::vector<bool> seen(governors, false);
-  for (const CrashPlan& p : plans) {
-    if (p.victim >= governors) {
-      throw ConfigError("crash plan: victim " + std::to_string(p.victim) +
-                        " out of range (" + std::to_string(governors) +
-                        " governors)");
-    }
-    if (seen[p.victim]) {
-      throw ConfigError("crash plan: victim " + std::to_string(p.victim) +
-                        " scheduled twice");
-    }
-    seen[p.victim] = true;
-    if (p.kill_round == 0 || p.kill_round > rounds) {
-      throw ConfigError("crash plan: kill round " +
-                        std::to_string(p.kill_round) + " outside [1, " +
-                        std::to_string(rounds) + "]");
-    }
-    if (p.restart_round <= p.kill_round) {
-      throw ConfigError("crash plan: restart round " +
-                        std::to_string(p.restart_round) +
-                        " not after kill round " +
-                        std::to_string(p.kill_round));
-    }
-  }
-}
-
-std::size_t min_live_governors(const std::vector<CrashPlan>& plans,
-                               std::size_t governors, Round rounds) {
-  std::size_t min_live = governors;
-  for (Round r = 1; r <= rounds; ++r) {
-    std::size_t dead = 0;
-    for (const CrashPlan& p : plans) {
-      if (p.kill_round <= r && r < p.restart_round) ++dead;
-    }
-    min_live = std::min(min_live, governors - dead);
-  }
-  return min_live;
-}
-
 ClusterRun::ClusterRun(sim::ScenarioConfig config,
                        std::vector<std::unique_ptr<SyncConn>> conns)
     : config_(std::move(config)), rng_(config_.seed), conns_(std::move(conns)) {
@@ -94,9 +29,6 @@ ClusterRun::ClusterRun(sim::ScenarioConfig config,
                       " node connections for " +
                       std::to_string(config_.topology.governors) + " governors");
   }
-  alive_.assign(conns_.size(), true);
-  generation_.assign(conns_.size(), 0);
-  incarnations_.assign(conns_.size(), 0);
 
   // Mirror the Scenario constructor sequence on the driver-side objects.
   wiring_ = std::make_unique<sim::Wiring>(config_, rng_, queue_,
@@ -110,102 +42,19 @@ ClusterRun::ClusterRun(sim::ScenarioConfig config,
   // any later delivery that could validate the transaction.
   wiring_->oracle_->set_register_hook([this](const ledger::TxId& id, bool valid) {
     const Bytes payload = encode_register_tx({id, valid});
-    for (std::size_t i = 0; i < conns_.size(); ++i) {
-      if (!alive_[i] || conns_[i] == nullptr) continue;
-      try {
-        conns_[i]->send_frame(
-            static_cast<std::uint16_t>(ClusterPacket::kRegisterTx), payload);
-      } catch (const std::exception&) {
-        if (!converge_) throw;
-        mark_dead(i);
-      }
+    for (auto& conn : conns_) {
+      conn->send_frame(static_cast<std::uint16_t>(ClusterPacket::kRegisterTx),
+                       payload);
     }
   });
 }
 
-void ClusterRun::set_supervision(std::vector<CrashPlan> plans, KillFn kill,
-                                 RespawnFn respawn,
-                                 std::uint32_t max_restart_attempts,
-                                 std::uint64_t rpc_timeout_us) {
-  converge_ = true;
-  plans_ = std::move(plans);
-  kill_ = std::move(kill);
-  respawn_ = std::move(respawn);
-  max_restarts_ = max_restart_attempts;
-  rpc_timeout_us_ = rpc_timeout_us;
-  report_.degradation.min_live = conns_.size();
-  // A node that dies mid-RPC without closing its socket must not wedge the
-  // driver: bound every blocking call (SyncConn throws kPeerTimeout).
-  for (auto& conn : conns_) {
-    if (conn != nullptr) conn->set_timeout(rpc_timeout_us_);
-  }
-}
-
-void ClusterRun::set_supervision(CrashPlan plan, KillFn kill, RespawnFn respawn,
-                                 std::uint32_t max_restart_attempts,
-                                 std::uint64_t rpc_timeout_us) {
-  set_supervision(std::vector<CrashPlan>{plan}, std::move(kill),
-                  std::move(respawn), max_restart_attempts, rpc_timeout_us);
-}
-
-void ClusterRun::mark_dead(std::size_t index) {
-  if (!alive_[index]) return;
-  alive_[index] = false;
-  ++generation_[index];
-  conns_[index].reset();
-  note_liveness();
-}
-
-void ClusterRun::note_liveness() {
-  if (!converge_) return;
-  std::size_t live = 0;
-  for (const bool a : alive_)
-    if (a) ++live;
-  DegradationReport& d = report_.degradation;
-  d.min_live = std::min(d.min_live, live);
-  if (live < election_quorum(alive_.size())) d.quorum_lost = true;
-}
-
-std::size_t ClusterRun::first_alive() const {
-  for (std::size_t i = 0; i < alive_.size(); ++i)
-    if (alive_[i]) return i;
-  return alive_.size();
-}
-
 ClusterRun::~ClusterRun() = default;
 
-std::vector<Effect> ClusterRun::rpc_done(std::size_t index, ClusterPacket type,
-                                         BytesView payload) {
-  if (converge_ && (!alive_[index] || conns_[index] == nullptr)) return {};
-  try {
-    SyncConn& conn = *conns_[index];
-    conn.send_frame(static_cast<std::uint16_t>(type), payload);
-    const wire::Frame reply = conn.recv_frame();
-    if (reply.type == static_cast<std::uint16_t>(wire::PacketType::kError)) {
-      const wire::ErrorPacket err = wire::decode_error(reply.payload);
-      throw wire::WireError(err.code, "node " + std::to_string(index) +
-                                          " failed: " + err.detail);
-    }
-    if (reply.type != static_cast<std::uint16_t>(ClusterPacket::kDone)) {
-      throw wire::WireError(wire::ProtocolError::kUnexpectedPacket,
-                            "node " + std::to_string(index) +
-                                ": expected kDone, got type " +
-                                std::to_string(reply.type));
-    }
-    return decode_effects(reply.payload);
-  } catch (const std::exception&) {
-    // Convergence mode treats a broken/hung/expelled node as a crash: mark
-    // it dead and let the round continue over the survivors.
-    if (!converge_) throw;
-    mark_dead(index);
-    return {};
-  }
-}
-
-Bytes ClusterRun::rpc_query(std::size_t index, ClusterPacket request,
-                            ClusterPacket reply_type) {
+Bytes ClusterRun::rpc(std::size_t index, ClusterPacket request,
+                      BytesView payload, ClusterPacket reply_type) {
   SyncConn& conn = *conns_[index];
-  conn.send_frame(static_cast<std::uint16_t>(request), BytesView{});
+  conn.send_frame(static_cast<std::uint16_t>(request), payload);
   const wire::Frame reply = conn.recv_frame();
   if (reply.type == static_cast<std::uint16_t>(wire::PacketType::kError)) {
     const wire::ErrorPacket err = wire::decode_error(reply.payload);
@@ -221,23 +70,19 @@ Bytes ClusterRun::rpc_query(std::size_t index, ClusterPacket request,
   return reply.payload;
 }
 
+std::vector<Effect> ClusterRun::rpc_done(std::size_t index, ClusterPacket type,
+                                         BytesView payload) {
+  return decode_effects(rpc(index, type, payload, ClusterPacket::kDone));
+}
+
+Bytes ClusterRun::rpc_query(std::size_t index, ClusterPacket request,
+                            ClusterPacket reply_type) {
+  return rpc(index, request, BytesView{}, reply_type);
+}
+
 GovernorState ClusterRun::query_state(std::size_t index) {
   return decode_state(
       rpc_query(index, ClusterPacket::kQueryState, ClusterPacket::kState));
-}
-
-std::optional<Bytes> ClusterRun::try_query(std::size_t index,
-                                           ClusterPacket request,
-                                           ClusterPacket reply) {
-  if (converge_ && (!alive_[index] || conns_[index] == nullptr))
-    return std::nullopt;
-  try {
-    return rpc_query(index, request, reply);
-  } catch (const std::exception&) {
-    if (!converge_) throw;
-    mark_dead(index);
-    return std::nullopt;
-  }
 }
 
 void ClusterRun::apply_effects(std::size_t index,
@@ -254,25 +99,11 @@ void ClusterRun::apply_effects(std::size_t index,
         wiring_->governor_group_->broadcast(e.from, e.msg_kind, e.payload);
         break;
       case Effect::Kind::kArmTimer:
-        // The generation captured at arm time guards against stale fires: a
-        // timer armed by a killed incarnation must not be fired into its
-        // successor (whose timer-id space restarted from scratch).
-        queue_.schedule_at(
-            e.at, [this, index, id = e.timer_id, gen = generation_[index]] {
-              if (converge_ && (!alive_[index] || generation_[index] != gen))
-                return;
-              fire_timer(index, id);
-            });
+        queue_.schedule_at(e.at, [this, index, id = e.timer_id] {
+          fire_timer(index, id);
+        });
         break;
       case Effect::Kind::kTrace:
-        // Degradation accounting: each kRoundStalled is one watchdog trip
-        // on a live replica; the first/last timestamps bound the stall span.
-        if (converge_ && e.trace.kind == runtime::TraceKind::kRoundStalled) {
-          DegradationReport& d = report_.degradation;
-          ++d.stalled_events;
-          if (d.stall_first == 0) d.stall_first = e.trace.at;
-          d.stall_last = e.trace.at;
-        }
         observation_.observer().on_event(e.trace);
         break;
     }
@@ -285,7 +116,6 @@ void ClusterRun::fire_timer(std::size_t index, std::uint64_t timer_id) {
 }
 
 void ClusterRun::deliver(std::size_t index, const runtime::Message& msg) {
-  if (converge_ && !alive_[index]) return;  // messages to the dead are lost
   apply_effects(index, rpc_done(index, ClusterPacket::kDeliver,
                                 encode_deliver(queue_.now(), msg)));
 }
@@ -294,52 +124,30 @@ sim::CounterProbe ClusterRun::probe_counters() {
   sim::CounterProbe p;
   p.validations = wiring_->oracle_->validations();
   p.messages = wiring_->net_->stats().messages_sent;
-  bool ref_set = false;
   for (std::size_t i = 0; i < conns_.size(); ++i) {
-    const auto bytes = try_query(i, ClusterPacket::kQueryState,
-                                 ClusterPacket::kState);
-    if (!bytes) continue;  // dead node (convergence mode only)
-    const GovernorState s = decode_state(*bytes);
+    const GovernorState s = query_state(i);
     p.validations += s.validations;
-    if (!ref_set) {  // reference replica: first live governor
-      p.ref_expected_loss = s.expected_loss;
-      ref_set = true;
-    }
+    if (i == 0) p.ref_expected_loss = s.expected_loss;  // reference replica
     p.argues += s.argues_accepted;
   }
   return p;
 }
 
 void ClusterRun::sample_rewards() {
+  // Governor 0 is the reference replica, as in the in-process observation.
   sim::RewardSample sample;
-  const std::size_t ref = first_alive();
-  if (ref < conns_.size()) {
-    if (const auto refb = try_query(ref, ClusterPacket::kQueryState,
-                                    ClusterPacket::kState)) {
-      const GovernorState rs = decode_state(*refb);
-      sample.leader = rs.leader;
-      if (sample.leader) {
-        const std::size_t li = sample.leader->value();
-        sample.leader_live = li < alive_.size() && alive_[li];
-        if (sample.leader_live) {
-          const auto lb = li == ref
-                              ? refb
-                              : try_query(li, ClusterPacket::kQueryState,
-                                          ClusterPacket::kState);
-          if (lb) {
-            const GovernorState ls = decode_state(*lb);
-            sample.chain_empty = ls.chain_empty;
-            if (!ls.chain_empty) {
-              sample.head_valid_txs = ls.head_valid_txs;
-              if (const auto sb = try_query(li, ClusterPacket::kQueryShares,
-                                            ClusterPacket::kShares)) {
-                sample.shares = decode_shares(*sb);
-              }
-            }
-          } else {
-            sample.leader_live = false;
-          }
-        }
+  const GovernorState ref = query_state(0);
+  sample.leader = ref.leader;
+  if (sample.leader) {
+    const std::size_t li = sample.leader->value();
+    sample.leader_live = li < conns_.size();
+    if (sample.leader_live) {
+      const GovernorState leader = li == 0 ? ref : query_state(li);
+      sample.chain_empty = leader.chain_empty;
+      if (!leader.chain_empty) {
+        sample.head_valid_txs = leader.head_valid_txs;
+        sample.shares = decode_shares(rpc_query(li, ClusterPacket::kQueryShares,
+                                                ClusterPacket::kShares));
       }
     }
   }
@@ -351,10 +159,8 @@ void ClusterRun::run_audit(Round round) {
   // stream consumed in governor order.
   Rng audit = rng_.derive(20'000 + round);
   for (std::size_t i = 0; i < conns_.size(); ++i) {
-    const auto bytes = try_query(i, ClusterPacket::kQueryUnrevealed,
-                                 ClusterPacket::kUnrevealed);
-    if (!bytes) continue;
-    const std::vector<ledger::TxId> ids = decode_txid_list(*bytes);
+    const std::vector<ledger::TxId> ids = decode_txid_list(
+        rpc_query(i, ClusterPacket::kQueryUnrevealed, ClusterPacket::kUnrevealed));
     for (const ledger::TxId& id : ids) {
       if (audit.bernoulli(config_.audit_probability)) {
         apply_effects(i, rpc_done(i, ClusterPacket::kReveal,
@@ -366,17 +172,6 @@ void ClusterRun::run_audit(Round round) {
 
 void ClusterRun::run_round() {
   ++round_;
-  // Supervision: respawns happen at a round boundary (before arming, like
-  // the sim's restart_governor), kills strike mid-round below. Plans may
-  // overlap: several victims can be down at once, and a round can respawn
-  // one victim while another is still dead.
-  if (converge_) {
-    for (const CrashPlan& plan : plans_) {
-      if (round_ == plan.restart_round && !alive_[plan.victim]) {
-        respawn_victim(plan.victim);
-      }
-    }
-  }
   const SimTime t0 = queue_.now();
   observation_.begin_round(round_, probe_counters());
 
@@ -384,7 +179,6 @@ void ClusterRun::run_round() {
   // loop before governor i+1's, the order a local loop would produce.
   const protocol::RoundTiming& timing = wiring_->timing_;
   for (std::size_t i = 0; i < conns_.size(); ++i) {
-    if (converge_ && !alive_[i]) continue;
     apply_effects(i, rpc_done(i, ClusterPacket::kArmRound,
                               encode_arm_round({queue_.now(), round_, t0})));
   }
@@ -395,109 +189,10 @@ void ClusterRun::run_round() {
   }
 
   queue_.run_until(t0 + timing.workload_offset);
-  if (converge_ && kill_) {
-    for (const CrashPlan& plan : plans_) {
-      if (round_ != plan.kill_round || !alive_[plan.victim]) continue;
-      // SIGKILL mid-round: in-memory state (including any uncommitted round
-      // progress) is gone; only the WAL/snapshot survive on disk.
-      kill_(plan.victim);
-      mark_dead(plan.victim);
-      if (report_.killed_at == 0) report_.killed_at = queue_.now();
-    }
-  }
   workload_->inject(round_);
   queue_.run_until(t0 + timing.round_span);
 
   observation_.end_round(probe_counters());
-}
-
-void ClusterRun::respawn_victim(std::size_t v) {
-  const std::uint32_t incarnation = ++incarnations_[v];
-  std::unique_ptr<SyncConn> conn;
-  for (std::uint32_t a = 0; a < max_restarts_ && conn == nullptr; ++a) {
-    ++report_.restart_attempts;
-    try {
-      conn = respawn_(v, incarnation);
-    } catch (const std::exception&) {
-      conn = nullptr;
-    }
-  }
-  if (conn == nullptr) return;  // stays dead; the convergence check fails
-  conn->set_timeout(rpc_timeout_us_);
-  conns_[v] = std::move(conn);
-  alive_[v] = true;
-  ++generation_[v];
-  // The fresh process recovered its chain from disk but its oracle replica
-  // is empty: replay the full ground truth before anything can validate.
-  const auto& truth = wiring_->oracle_->truth();
-  for (const auto& [id, valid] : truth) {
-    const Bytes payload = encode_register_tx({id, valid});
-    try {
-      conns_[v]->send_frame(
-          static_cast<std::uint16_t>(ClusterPacket::kRegisterTx), payload);
-    } catch (const std::exception&) {
-      mark_dead(v);
-      return;
-    }
-  }
-  // Hand the node the master clock and let it start chasing the chain; its
-  // sync requests to peers come back as ordinary send effects.
-  apply_effects(v, rpc_done(v, ClusterPacket::kResync,
-                            encode_resync(queue_.now())));
-  if (alive_[v]) {
-    report_.rejoined_at = queue_.now();
-    report_.degradation.last_restart_round = round_;
-  }
-}
-
-bool ClusterRun::check_converged() {
-  std::optional<HeadInfo> ref;
-  for (std::size_t i = 0; i < conns_.size(); ++i) {
-    if (!alive_[i]) return false;  // a hole in the cluster is not converged
-    const auto bytes =
-        try_query(i, ClusterPacket::kQueryHead, ClusterPacket::kHead);
-    if (!bytes) return false;
-    const HeadInfo h = decode_head(*bytes);
-    if (!ref) {
-      ref = h;
-    } else if (h.serial != ref->serial || h.hash != ref->hash ||
-               h.committed_txs != ref->committed_txs) {
-      return false;
-    }
-  }
-  if (!ref || ref->serial == 0) return false;
-  report_.head_serial = ref->serial;
-  report_.committed_txs = ref->committed_txs;
-  report_.head_hash_hex = to_hex(view(ref->hash));
-  return true;
-}
-
-ConvergenceReport ClusterRun::run_converge(Round grace_rounds) {
-  if (!converge_) {
-    throw ConfigError("cluster driver: run_converge without set_supervision");
-  }
-  for (std::size_t i = 0; i < config_.rounds; ++i) run_round();
-  report_.converged = check_converged();
-  Round extra = 0;
-  // Grace rounds: catch-up traffic needs master-loop time to flow, so keep
-  // running full rounds until the heads agree or patience runs out.
-  while (!report_.converged && extra < grace_rounds) {
-    run_round();
-    ++extra;
-    report_.converged = check_converged();
-  }
-  if (report_.converged) {
-    report_.converged_round = round_;
-    if (report_.degradation.last_restart_round > 0) {
-      report_.degradation.rounds_to_recover =
-          round_ - report_.degradation.last_restart_round;
-    }
-  }
-  report_.rounds_run = round_;
-  for (std::size_t i = 0; i < conns_.size(); ++i) {
-    if (alive_[i]) (void)rpc_done(i, ClusterPacket::kShutdown, BytesView{});
-  }
-  return report_;
 }
 
 sim::RunResult ClusterRun::run() {

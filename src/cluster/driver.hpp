@@ -11,18 +11,19 @@
 // recorded order. Every nondeterministic choice is therefore made once, in
 // the driver, in the same order the in-process simulation makes it — which
 // is why the replayed run's summary is byte-identical to the simulated one.
+// Any RPC failure is fatal: with byte-identity as the contract, a lost node
+// or a socket hiccup is a bug, not a fault to ride out (crash/restart runs
+// belong to the free-running mode, cluster/free_run.hpp).
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "cluster/packets.hpp"
 #include "cluster/sync_conn.hpp"
 #include "common/rng.hpp"
-#include "net/event_queue.hpp"
+#include "runtime/event_loop.hpp"
 #include "sim/harness/observation.hpp"
 #include "sim/harness/run_codec.hpp"
 #include "sim/harness/spec.hpp"
@@ -34,71 +35,6 @@ namespace repchain::cluster {
 
 /// The welcome the driver presents on every node connection.
 [[nodiscard]] wire::Welcome driver_welcome(const crypto::Hash256& genesis);
-
-/// Supervision schedule for one victim of a convergence-mode run: SIGKILL
-/// `victim` mid-round `kill_round`, respawn it against its persisted state
-/// directory at the start of round `restart_round`. A run takes a list of
-/// these (one per victim, windows may overlap) — concurrent kills that drop
-/// the committee below election quorum are a legal, tested schedule.
-struct CrashPlan {
-  std::size_t victim = 0;
-  Round kill_round = 0;
-  Round restart_round = 0;
-};
-
-/// Reliable-mode election quorum: close_election() requires a strict
-/// majority of the (non-expelled) committee, counted against committee size
-/// — not live count — so dead governors subtract from the margin.
-[[nodiscard]] constexpr std::size_t election_quorum(std::size_t governors) {
-  return governors / 2 + 1;
-}
-
-/// Parse one `v@k:r` crash-plan spec (victim, kill round, restart round).
-/// Returns false on malformed input.
-[[nodiscard]] bool parse_crash_plan(const std::string& spec, CrashPlan& plan);
-
-/// Reject inconsistent schedules: a duplicate victim, a victim index at or
-/// past `governors`, kill_round 0 or past `rounds`, or restart_round not
-/// strictly after kill_round. Throws ConfigError.
-void validate_crash_plans(const std::vector<CrashPlan>& plans,
-                          std::size_t governors, Round rounds);
-
-/// Fewest governors alive in any round of [1, rounds] under `plans` (a
-/// victim counts dead from its kill round until the round before its
-/// restart). Compare against election_quorum() to predict a stall window.
-[[nodiscard]] std::size_t min_live_governors(const std::vector<CrashPlan>& plans,
-                                             std::size_t governors, Round rounds);
-
-/// How a supervised run degraded while victims were down: whether the live
-/// committee ever dropped below election quorum, the watchdog activity the
-/// survivors surfaced (kRoundStalled traces and their time span), and how
-/// many rounds the cluster needed after the last respawn to converge.
-struct DegradationReport {
-  bool quorum_lost = false;       // live committee < election_quorum at some point
-  std::size_t min_live = 0;       // fewest live governors observed
-  std::uint64_t stalled_events = 0;  // kRoundStalled traces (= watchdog trips)
-  SimTime stall_first = 0;        // clock of the first kRoundStalled (0 = none)
-  SimTime stall_last = 0;         // clock of the last kRoundStalled
-  Round last_restart_round = 0;   // round of the final respawn
-  Round rounds_to_recover = 0;    // converged_round - last_restart_round
-  std::uint32_t spontaneous_exits = 0;  // from ProcessSupervisor::report()
-};
-
-/// What a supervised run reports instead of a byte-compared summary: did
-/// every survivor plus the restarted nodes end on the same chain head, and
-/// how long did the rejoin take.
-struct ConvergenceReport {
-  bool converged = false;
-  Round rounds_run = 0;        // configured rounds + any grace rounds
-  Round converged_round = 0;   // round at whose end the heads first agreed
-  std::uint64_t head_serial = 0;
-  std::uint64_t committed_txs = 0;
-  std::string head_hash_hex;
-  SimTime killed_at = 0;       // master-clock instant of the first SIGKILL
-  SimTime rejoined_at = 0;     // instant the last respawn finished re-admission
-  std::uint32_t restart_attempts = 0;
-  DegradationReport degradation;
-};
 
 /// One cluster-hosted run. `conns[i]` must be the (already handshaken)
 /// connection to the process hosting governor i; the constructor mirrors the
@@ -116,35 +52,6 @@ class ClusterRun final : public sim::RemoteGovernorLink {
   /// and shut the nodes down.
   [[nodiscard]] sim::RunResult run();
 
-  /// Kills the victim process (SIGKILL, no RPC goodbye).
-  using KillFn = std::function<void(std::size_t index)>;
-  /// Respawns governor `index` as incarnation `incarnation` against its
-  /// persisted state directory and returns the admitted (handshaken)
-  /// connection; throws or returns null on a failed attempt.
-  using RespawnFn = std::function<std::unique_ptr<SyncConn>(
-      std::size_t index, std::uint32_t incarnation)>;
-
-  /// Switch this run to convergence mode: RPC failures mark a node dead
-  /// instead of aborting, every connection gets a blocking-IO deadline, the
-  /// crash schedule executes during run_converge(), and a failed node is
-  /// respawned at most `max_restart_attempts` times per restart point.
-  /// `plans` holds one entry per victim; overlapping kill/restart windows
-  /// (including quorum-breaking ones) are allowed. Validate the schedule
-  /// with validate_crash_plans() first.
-  void set_supervision(std::vector<CrashPlan> plans, KillFn kill,
-                       RespawnFn respawn,
-                       std::uint32_t max_restart_attempts = 3,
-                       std::uint64_t rpc_timeout_us = 10'000'000);
-  /// Single-victim convenience overload.
-  void set_supervision(CrashPlan plan, KillFn kill, RespawnFn respawn,
-                       std::uint32_t max_restart_attempts = 3,
-                       std::uint64_t rpc_timeout_us = 10'000'000);
-
-  /// Convergence-mode counterpart of run(): executes the configured rounds
-  /// (with the crash plan), then up to `grace_rounds` extra rounds until
-  /// all nodes report an identical chain head. Shuts the nodes down.
-  [[nodiscard]] ConvergenceReport run_converge(Round grace_rounds = 4);
-
   /// RemoteGovernorLink: a master-loop delivery for governor `index` — the
   /// synchronous RPC at the heart of the lockstep scheme.
   void deliver(std::size_t index, const runtime::Message& msg) override;
@@ -154,6 +61,10 @@ class ClusterRun final : public sim::RemoteGovernorLink {
   /// Apply a node's recorded effects to the master loop, in order.
   void apply_effects(std::size_t index, const std::vector<Effect>& effects);
   void fire_timer(std::size_t index, std::uint64_t timer_id);
+  /// One blocking request/reply exchange; a kError or unexpected reply
+  /// throws WireError. Returns the reply payload.
+  [[nodiscard]] Bytes rpc(std::size_t index, ClusterPacket request,
+                          BytesView payload, ClusterPacket reply);
   /// Request expecting a kDone reply; returns the recorded effects.
   [[nodiscard]] std::vector<Effect> rpc_done(std::size_t index, ClusterPacket type,
                                              BytesView payload);
@@ -161,48 +72,20 @@ class ClusterRun final : public sim::RemoteGovernorLink {
   [[nodiscard]] Bytes rpc_query(std::size_t index, ClusterPacket request,
                                 ClusterPacket reply);
   [[nodiscard]] GovernorState query_state(std::size_t index);
-  /// rpc_query that, in convergence mode, converts a dead peer into
-  /// std::nullopt (marking the node) instead of throwing.
-  [[nodiscard]] std::optional<Bytes> try_query(std::size_t index,
-                                               ClusterPacket request,
-                                               ClusterPacket reply);
   /// The cross-replica counters Observation probes at round edges.
   [[nodiscard]] sim::CounterProbe probe_counters();
   void sample_rewards();
   void run_audit(Round round);
-  // --- convergence mode ------------------------------------------------------
-  void mark_dead(std::size_t index);
-  [[nodiscard]] std::size_t first_alive() const;
-  void respawn_victim(std::size_t victim);
-  /// Track the live count against quorum for the degradation report.
-  void note_liveness();
-  /// Query every node's head; true when all alive and identical (non-empty).
-  bool check_converged();
 
   sim::ScenarioConfig config_;
   Rng rng_;
-  net::EventQueue queue_;
+  runtime::EventLoop queue_;
   sim::Observation observation_;
   std::vector<std::unique_ptr<SyncConn>> conns_;
   std::unique_ptr<sim::Wiring> wiring_;
   std::unique_ptr<sim::Workload> workload_;
 
   Round round_ = 0;
-
-  // Convergence-mode state. In lockstep mode alive_ stays all-true and
-  // generation_ all-zero, so the shared paths behave identically.
-  bool converge_ = false;
-  std::vector<CrashPlan> plans_;
-  KillFn kill_;
-  RespawnFn respawn_;
-  std::uint32_t max_restarts_ = 3;
-  std::uint64_t rpc_timeout_us_ = 0;
-  std::vector<bool> alive_;
-  // Bumped on every kill and respawn of a node: timers armed by an earlier
-  // life are skipped when they fire (the new incarnation re-arms its own).
-  std::vector<std::uint32_t> generation_;
-  std::vector<std::uint32_t> incarnations_;
-  ConvergenceReport report_;
 };
 
 }  // namespace repchain::cluster

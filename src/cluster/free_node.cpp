@@ -118,6 +118,7 @@ FreeNodeHost::FreeNodeHost(sim::ScenarioConfig config, std::size_t governor_inde
   }
   if (incarnation_ > 0) transport_.set_resume(incarnation_, head().serial);
   transport_.set_trace_sink(&counters_);
+  oracle_.set_miss_hook([this](const ledger::TxId& id) { await_truth(id); });
   // A healed link refreshes the retry budget of every in-flight envelope
   // addressed to the returning peer — without this, a crash window longer
   // than the backoff ladder burns budget against a dead socket.
@@ -248,13 +249,13 @@ void FreeNodeHost::handle_control(const wire::Frame& frame) {
   }
 }
 
-void FreeNodeHost::on_control_readable() {
+void FreeNodeHost::read_control() {
   std::uint8_t buf[64 * 1024];
   for (;;) {
     const ssize_t n = ::recv(control_fd_, buf, sizeof(buf), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       done_ = true;  // driver went away mid-read
       return;
     }
@@ -264,11 +265,54 @@ void FreeNodeHost::on_control_readable() {
     }
     std::vector<wire::Frame> frames;
     control_reader_.feed(BytesView(buf, static_cast<std::size_t>(n)), frames);
-    for (const wire::Frame& frame : frames) {
+    for (wire::Frame& frame : frames) control_backlog_.push_back(std::move(frame));
+    if (static_cast<std::size_t>(n) < sizeof(buf)) return;
+  }
+}
+
+void FreeNodeHost::drain_control() {
+  while (!control_backlog_.empty() && !done_) {
+    const wire::Frame frame = std::move(control_backlog_.front());
+    control_backlog_.pop_front();
+    handle_control(frame);
+  }
+}
+
+void FreeNodeHost::on_control_readable() {
+  read_control();
+  drain_control();
+}
+
+void FreeNodeHost::apply_backlogged_truths() {
+  std::deque<wire::Frame> rest;
+  for (wire::Frame& frame : control_backlog_) {
+    if (frame.type == static_cast<std::uint16_t>(ClusterPacket::kRegisterTx)) {
       handle_control(frame);
-      if (done_) return;
+    } else {
+      rest.push_back(std::move(frame));
     }
-    if (static_cast<std::size_t>(n) < sizeof(buf)) break;
+  }
+  control_backlog_.swap(rest);
+}
+
+void FreeNodeHost::await_truth(const ledger::TxId& id) {
+  if (control_fd_ < 0) return;  // no driver yet: nothing can supply it
+  const SimTime deadline = loop_.now() + static_cast<SimTime>(kRpcTimeoutUs);
+  apply_backlogged_truths();
+  while (!oracle_.is_registered(id) && !done_ && loop_.now() < deadline) {
+    pollfd pfd{};
+    pfd.fd = control_fd_;
+    pfd.events = POLLIN;
+    const SimDuration left = deadline - loop_.now();
+    const int rc = ::poll(&pfd, 1, static_cast<int>((left + 999) / 1000));
+    if (rc < 0 && errno != EINTR) break;
+    if (rc <= 0) continue;
+    read_control();
+    apply_backlogged_truths();
+  }
+  // Frames queued during the wait run after the current handler returns.
+  if (!control_backlog_.empty()) {
+    loop_.schedule_at(loop_.now(), [this] { drain_control(); });
   }
 }
 
@@ -311,14 +355,14 @@ void FreeNodeHost::run(int fd) {
     throw wire::WireError(wire::ProtocolError::kBadRole,
                           "free-running node: peer is not a driver");
   }
-  // Anything the driver pipelined behind its welcome is already decoded.
-  for (std::size_t i = 1; i < frames.size() && !done_; ++i) {
-    handle_control(frames[i]);
-  }
-
   const int flags = ::fcntl(control_fd_, F_GETFL, 0);
   (void)::fcntl(control_fd_, F_SETFL, flags | O_NONBLOCK);
   loop_.watch(control_fd_, POLLIN, [this](short) { on_control_readable(); });
+  // Anything the driver pipelined behind its welcome is already decoded.
+  for (std::size_t i = 1; i < frames.size(); ++i) {
+    control_backlog_.push_back(std::move(frames[i]));
+  }
+  drain_control();
 
   while (!done_) {
     (void)loop_.run_until(loop_.now() + 100 * kMillisecond,

@@ -16,6 +16,7 @@
 // means a code path that cannot be correct off the simulator's total order.
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -75,9 +76,10 @@ class FreeNodeHost {
   /// range. The peer mesh binds loopback port `peer_base + index` and dials
   /// `peer_base + j` for every j < index (higher-indexed peers and the
   /// driver dial us; auto-reconnect heals the mesh from both sides after a
-  /// crash). `state_dir`/`incarnation` follow NodeHost: a restarted process
-  /// replays snapshot + WAL, announces session resume, and runs its
-  /// ReliableChannel under the incarnation epoch.
+  /// crash). `state_dir` (optional) attaches a FileStateStore so every
+  /// commit is durable; `incarnation` > 0 marks a restarted process: it
+  /// replays snapshot + WAL, announces session resume with the recovered
+  /// head, and runs its ReliableChannel under the incarnation epoch.
   FreeNodeHost(sim::ScenarioConfig config, std::size_t governor_index,
                std::uint16_t peer_base, const std::string& state_dir = "",
                std::uint32_t incarnation = 0);
@@ -98,6 +100,19 @@ class FreeNodeHost {
  private:
   void handle_control(const wire::Frame& frame);
   void on_control_readable();
+  /// Move every frame the non-blocking control socket holds into
+  /// control_backlog_. Sets done_ on EOF or a read error.
+  void read_control();
+  /// Handle the backlogged control frames in arrival order.
+  void drain_control();
+  /// Oracle miss hook. The truth for `id` travels on the control connection
+  /// while the transaction reached us over the peer mesh, so nothing orders
+  /// the two. Block on the control socket, applying kRegisterTx frames and
+  /// queueing every other frame, until `id` is known or kRpcTimeoutUs
+  /// passes (the oracle then throws: a miss past the deadline is fatal).
+  void await_truth(const ledger::TxId& id);
+  /// Apply every backlogged kRegisterTx, keeping the other frames in order.
+  void apply_backlogged_truths();
   /// Write one frame to the control fd, looping over partial writes
   /// (poll(POLLOUT) bridges EAGAIN on the non-blocking socket).
   void send_control(std::uint16_t type, BytesView payload);
@@ -119,6 +134,7 @@ class FreeNodeHost {
 
   int control_fd_ = -1;
   wire::FrameReader control_reader_;
+  std::deque<wire::Frame> control_backlog_;
   bool done_ = false;
   // Mesh traffic held until the driver's kFreeStart. A respawned node's
   // listener is reachable the moment the transport binds, and survivors'

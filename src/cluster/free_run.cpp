@@ -36,6 +36,70 @@ runtime::TcpTransport::Options observer_mesh_options(
 
 }  // namespace
 
+bool parse_crash_plan(const std::string& spec, CrashPlan& plan) {
+  const std::size_t at = spec.find('@');
+  const std::size_t colon = spec.find(':', at == std::string::npos ? 0 : at);
+  if (at == std::string::npos || colon == std::string::npos || at == 0 ||
+      colon <= at + 1 || colon + 1 >= spec.size()) {
+    return false;
+  }
+  try {
+    std::size_t used = 0;
+    plan.victim = std::stoul(spec.substr(0, at), &used);
+    if (used != at) return false;
+    const std::string kill = spec.substr(at + 1, colon - at - 1);
+    plan.kill_round = std::stoul(kill, &used);
+    if (used != kill.size()) return false;
+    const std::string restart = spec.substr(colon + 1);
+    plan.restart_round = std::stoul(restart, &used);
+    if (used != restart.size()) return false;
+  } catch (const std::exception&) {
+    return false;
+  }
+  return plan.kill_round > 0 && plan.restart_round > plan.kill_round;
+}
+
+void validate_crash_plans(const std::vector<CrashPlan>& plans,
+                          std::size_t governors, Round rounds) {
+  std::vector<bool> seen(governors, false);
+  for (const CrashPlan& p : plans) {
+    if (p.victim >= governors) {
+      throw ConfigError("crash plan: victim " + std::to_string(p.victim) +
+                        " out of range (" + std::to_string(governors) +
+                        " governors)");
+    }
+    if (seen[p.victim]) {
+      throw ConfigError("crash plan: victim " + std::to_string(p.victim) +
+                        " scheduled twice");
+    }
+    seen[p.victim] = true;
+    if (p.kill_round == 0 || p.kill_round > rounds) {
+      throw ConfigError("crash plan: kill round " +
+                        std::to_string(p.kill_round) + " outside [1, " +
+                        std::to_string(rounds) + "]");
+    }
+    if (p.restart_round <= p.kill_round) {
+      throw ConfigError("crash plan: restart round " +
+                        std::to_string(p.restart_round) +
+                        " not after kill round " +
+                        std::to_string(p.kill_round));
+    }
+  }
+}
+
+std::size_t min_live_governors(const std::vector<CrashPlan>& plans,
+                               std::size_t governors, Round rounds) {
+  std::size_t min_live = governors;
+  for (Round r = 1; r <= rounds; ++r) {
+    std::size_t dead = 0;
+    for (const CrashPlan& p : plans) {
+      if (p.kill_round <= r && r < p.restart_round) ++dead;
+    }
+    min_live = std::min(min_live, governors - dead);
+  }
+  return min_live;
+}
+
 sim::ScenarioConfig free_run_config(sim::ScenarioConfig base) {
   base.reliable_delivery = true;
   if (base.governor.watchdog_rounds == 0) base.governor.watchdog_rounds = 2;
@@ -80,8 +144,11 @@ FreeRunDriver::FreeRunDriver(sim::ScenarioConfig config,
   report_.degradation.min_live = conns_.size();
   for (auto& conn : conns_) conn->set_timeout(rpc_timeout_us_);
 
-  // Forward every ground-truth registration to the node oracles; the
-  // control FIFO puts a truth ahead of any traffic that could validate it.
+  // Forward every ground-truth registration to the node oracles. Nothing
+  // orders this control frame against the upload carrying the same
+  // transaction, which reaches a node over its peer mesh: a node whose
+  // oracle misses waits on its control connection for the truth
+  // (FreeNodeHost::await_truth).
   oracle_.set_register_hook([this](const ledger::TxId& id, bool valid) {
     const Bytes payload = encode_register_tx({id, valid});
     for (std::size_t i = 0; i < conns_.size(); ++i) {
@@ -142,8 +209,7 @@ FreeRunDriver::FreeRunDriver(sim::ScenarioConfig config,
 FreeRunDriver::~FreeRunDriver() = default;
 
 void FreeRunDriver::set_supervision(std::vector<CrashPlan> plans,
-                                    ClusterRun::KillFn kill,
-                                    ClusterRun::RespawnFn respawn,
+                                    KillFn kill, RespawnFn respawn,
                                     std::uint32_t max_restart_attempts,
                                     std::uint64_t rpc_timeout_us) {
   plans_ = std::move(plans);

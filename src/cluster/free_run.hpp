@@ -20,13 +20,13 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "cluster/driver.hpp"
 #include "cluster/packets.hpp"
 #include "cluster/sync_conn.hpp"
 #include "common/rng.hpp"
@@ -42,6 +42,63 @@
 #include "sim/harness/system_model.hpp"
 
 namespace repchain::cluster {
+
+/// Supervision schedule for one victim: SIGKILL `victim` mid-round
+/// `kill_round`, respawn it against its persisted state directory at the
+/// start of round `restart_round`. A run takes a list of these (one per
+/// victim, windows may overlap) — concurrent kills that drop the committee
+/// below election quorum are a legal, tested schedule.
+struct CrashPlan {
+  std::size_t victim = 0;
+  Round kill_round = 0;
+  Round restart_round = 0;
+};
+
+/// Reliable-mode election quorum: close_election() requires a strict
+/// majority of the (non-expelled) committee, counted against committee size
+/// — not live count — so dead governors subtract from the margin.
+[[nodiscard]] constexpr std::size_t election_quorum(std::size_t governors) {
+  return governors / 2 + 1;
+}
+
+/// Parse one `v@k:r` crash-plan spec (victim, kill round, restart round).
+/// Returns false on malformed input.
+[[nodiscard]] bool parse_crash_plan(const std::string& spec, CrashPlan& plan);
+
+/// Reject inconsistent schedules: a duplicate victim, a victim index at or
+/// past `governors`, kill_round 0 or past `rounds`, or restart_round not
+/// strictly after kill_round. Throws ConfigError.
+void validate_crash_plans(const std::vector<CrashPlan>& plans,
+                          std::size_t governors, Round rounds);
+
+/// Fewest governors alive in any round of [1, rounds] under `plans` (a
+/// victim counts dead from its kill round until the round before its
+/// restart). Compare against election_quorum() to predict a stall window.
+[[nodiscard]] std::size_t min_live_governors(const std::vector<CrashPlan>& plans,
+                                             std::size_t governors, Round rounds);
+
+/// Kills the victim process (SIGKILL, no RPC goodbye).
+using KillFn = std::function<void(std::size_t index)>;
+/// Respawns governor `index` as incarnation `incarnation` against its
+/// persisted state directory and returns the admitted (handshaken) control
+/// connection; throws or returns null on a failed attempt.
+using RespawnFn = std::function<std::unique_ptr<SyncConn>(
+    std::size_t index, std::uint32_t incarnation)>;
+
+/// How a supervised run degraded while victims were down: whether the live
+/// committee ever dropped below election quorum, the watchdog activity the
+/// survivors surfaced (kRoundStalled traces and their time span), and how
+/// many rounds the cluster needed after the last respawn to converge.
+struct DegradationReport {
+  bool quorum_lost = false;       // live committee < election_quorum at some point
+  std::size_t min_live = 0;       // fewest live governors observed
+  std::uint64_t stalled_events = 0;  // kRoundStalled traces (= watchdog trips)
+  SimTime stall_first = 0;        // clock of the first kRoundStalled (0 = none)
+  SimTime stall_last = 0;         // clock of the last kRoundStalled
+  Round last_restart_round = 0;   // round of the final respawn
+  Round rounds_to_recover = 0;    // converged_round - last_restart_round
+  std::uint32_t spontaneous_exits = 0;  // from ProcessSupervisor::report()
+};
 
 /// Derive the free-running variant of a golden scenario config. The lockstep
 /// goldens themselves stay untouched: free mode copies the config and flips
@@ -107,13 +164,13 @@ class FreeRunDriver {
   FreeRunDriver& operator=(const FreeRunDriver&) = delete;
 
   /// Install the multi-victim crash schedule (validated with
-  /// validate_crash_plans). Kill/respawn callbacks follow ClusterRun's:
-  /// kill is SIGKILL-now, respawn spawns incarnation `i` and returns its
-  /// admitted control connection.
-  void set_supervision(std::vector<CrashPlan> plans, ClusterRun::KillFn kill,
-                       ClusterRun::RespawnFn respawn,
+  /// validate_crash_plans): kill is SIGKILL-now, respawn spawns incarnation
+  /// `i` and returns its admitted control connection. A failed respawn is
+  /// retried up to `max_restart_attempts` times per restart point.
+  void set_supervision(std::vector<CrashPlan> plans, KillFn kill,
+                       RespawnFn respawn,
                        std::uint32_t max_restart_attempts = 3,
-                       std::uint64_t rpc_timeout_us = 10'000'000);
+                       std::uint64_t rpc_timeout_us = kRpcTimeoutUs);
 
   /// Run the configured rounds (plus grace), enforce the statistical
   /// contract, shut the nodes down, and report.
@@ -153,10 +210,10 @@ class FreeRunDriver {
   std::vector<bool> alive_;
   std::vector<std::uint32_t> incarnations_;
   std::vector<CrashPlan> plans_;
-  ClusterRun::KillFn kill_;
-  ClusterRun::RespawnFn respawn_;
+  KillFn kill_;
+  RespawnFn respawn_;
   std::uint32_t max_restarts_ = 3;
-  std::uint64_t rpc_timeout_us_ = 10'000'000;
+  std::uint64_t rpc_timeout_us_ = kRpcTimeoutUs;
 
   Round round_ = 0;
   SimTime round_start_ = 0;  // observer-clock t0 of the current round

@@ -5,7 +5,6 @@
 
 #include "common/errors.hpp"
 #include "sim/harness/spec_codec.hpp"
-#include "storage/file_state_store.hpp"
 #include "wire/codec.hpp"
 
 namespace repchain::cluster {
@@ -24,11 +23,6 @@ std::size_t checked_index(const sim::ScenarioConfig& config, std::size_t i) {
                       std::to_string(config.topology.governors) + " governors)");
   }
   return i;
-}
-
-std::unique_ptr<storage::NodeStateStore> make_store(const std::string& dir) {
-  if (dir.empty()) return nullptr;
-  return std::make_unique<storage::FileStateStore>(dir);
 }
 
 }  // namespace
@@ -99,14 +93,11 @@ void RemoteTraceSink::on_event(const runtime::TraceEvent& ev) {
   effects_.push_back(std::move(e));
 }
 
-NodeHost::NodeHost(sim::ScenarioConfig config, std::size_t governor_index,
-                   const std::string& state_dir, std::uint32_t incarnation)
+NodeHost::NodeHost(sim::ScenarioConfig config, std::size_t governor_index)
     : config_(normalized(std::move(config))),
       index_(checked_index(config_, governor_index)),
-      incarnation_(incarnation),
       genesis_(sim::config_genesis(config_)),
       model_(sim::SystemModel::build(config_, Rng(config_.seed))),
-      store_(make_store(state_dir)),
       timers_(effects_),
       transport_(effects_, timers_, config_.latency.max_delay),
       broadcaster_(effects_, model_.directory.governor_nodes()),
@@ -116,22 +107,11 @@ NodeHost::NodeHost(sim::ScenarioConfig config, std::size_t governor_index,
            transport_, Rng(config_.seed).derive(2000 + index_), &trace_) {
   const GovernorId id(static_cast<std::uint32_t>(index_));
   protocol::GovernorConfig gc = config_.governor;
-  // The ReliableChannel epoch is the restart count, so a returning life's
-  // sequence space is distinct from every earlier one (mirrors the sim's
-  // Wiring::restart_governor epoch bump).
-  gc.channel_epoch = incarnation_;
+  gc.channel_epoch = 0;  // first life, as Wiring builds it
   governor_ = std::make_unique<protocol::Governor>(
       id, ctx_, model_.governor_keys[index_], *model_.im, oracle_,
       model_.directory, broadcaster_, gc, model_.genesis,
-      model_.governor_visible[index_], store_.get());
-  if (incarnation_ > 0 && store_ != nullptr) {
-    // Restarted process: replay snapshot + WAL tail before serving. The
-    // catch-up sync is driven by the driver's kResync once re-admitted.
-    governor_->recover_from_store();
-    // Replay pushes effects (commit trace events) into the shims; none of
-    // that predates the driver connection, so drop it.
-    effects_.clear();
-  }
+      model_.governor_visible[index_]);
 }
 
 NodeHost::~NodeHost() = default;
@@ -155,18 +135,6 @@ GovernorState NodeHost::state() const {
     }
   }
   return s;
-}
-
-HeadInfo NodeHost::head() const {
-  HeadInfo h;
-  h.incarnation = incarnation_;
-  const ledger::ChainStore& chain = governor_->chain();
-  if (chain.empty()) return h;
-  h.serial = chain.head().serial;
-  h.hash = chain.head_hash();
-  for (const ledger::Block& b : chain.blocks())
-    h.committed_txs += b.txs.size();
-  return h;
 }
 
 GovernorSnapshotData NodeHost::snapshot() const {
@@ -229,19 +197,6 @@ void NodeHost::handle(SyncConn& conn, const wire::Frame& frame, bool& done) {
       conn.send_frame(static_cast<std::uint16_t>(ClusterPacket::kSnapshotData),
                       encode_snapshot(snapshot()));
       return;
-    case ClusterPacket::kQueryHead:
-      conn.send_frame(static_cast<std::uint16_t>(ClusterPacket::kHead),
-                      encode_head(head()));
-      return;
-    case ClusterPacket::kResync: {
-      // Re-seat the virtual clock at the master loop's instant and start
-      // the governor's peer catch-up; the sync requests ride back as send
-      // effects and flow through the replay like any other traffic.
-      timers_.set_now(decode_resync(frame.payload));
-      governor_->sync_chain();
-      reply_done(conn);
-      return;
-    }
     case ClusterPacket::kShutdown:
       reply_done(conn);
       done = true;
@@ -261,12 +216,6 @@ void NodeHost::serve(int fd) {
   local.role = wire::Role::kNode;
   local.node_index = static_cast<std::uint32_t>(index_);
   local.hosted = {governor_->node()};
-  // v2 session resume: a restarted process announces its incarnation and
-  // the chain head it recovered, so the driver re-admits it as the same
-  // logical governor instead of a stranger.
-  local.resume = incarnation_ > 0;
-  local.incarnation = incarnation_;
-  local.head_serial = head().serial;
   const wire::Welcome remote = handshake(conn, local, genesis_);
   if (remote.role != wire::Role::kDriver) {
     conn.send_error(wire::ProtocolError::kBadRole, "expected the driver");

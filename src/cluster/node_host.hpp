@@ -32,7 +32,6 @@
 #include "runtime/transport.hpp"
 #include "sim/harness/spec.hpp"
 #include "sim/harness/system_model.hpp"
-#include "storage/node_state_store.hpp"
 
 namespace repchain::cluster {
 
@@ -131,14 +130,7 @@ class NodeHost {
  public:
   /// `config` is normalized in place; throws ConfigError when it is not
   /// cluster-runnable or `governor_index` is out of range.
-  ///
-  /// `state_dir` (optional) attaches a FileStateStore so every commit is
-  /// durable; `incarnation` > 0 marks a restarted process: the governor
-  /// replays its snapshot + WAL tail before serving, its ReliableChannel
-  /// epoch becomes the incarnation, and the welcome announces session
-  /// resume with the recovered chain head.
-  NodeHost(sim::ScenarioConfig config, std::size_t governor_index,
-           const std::string& state_dir = "", std::uint32_t incarnation = 0);
+  NodeHost(sim::ScenarioConfig config, std::size_t governor_index);
   ~NodeHost();
 
   NodeHost(const NodeHost&) = delete;
@@ -158,14 +150,11 @@ class NodeHost {
   void reply_done(SyncConn& conn);
   [[nodiscard]] GovernorState state() const;
   [[nodiscard]] GovernorSnapshotData snapshot() const;
-  [[nodiscard]] HeadInfo head() const;
 
   sim::ScenarioConfig config_;
   std::size_t index_;
-  std::uint32_t incarnation_;
   crypto::Hash256 genesis_;
   sim::SystemModel model_;
-  std::unique_ptr<storage::NodeStateStore> store_;
   std::vector<Effect> effects_;
   RemoteTimers timers_;
   RemoteTransport transport_;

@@ -180,18 +180,6 @@ HeadInfo decode_head(BytesView data) {
   });
 }
 
-Bytes encode_resync(SimTime now) {
-  BinaryWriter w;
-  w.u64(static_cast<std::uint64_t>(now));
-  return std::move(w).take();
-}
-
-SimTime decode_resync(BytesView data) {
-  return decode_exact(data, [](BinaryReader& r) {
-    return static_cast<SimTime>(r.u64());
-  });
-}
-
 Bytes encode_register_tx(const RegisterTx& reg) {
   BinaryWriter w;
   w.raw(view(reg.id));

@@ -28,8 +28,11 @@ namespace repchain::cluster {
 /// RPC packet types. Driver->node requests carry the node's virtual clock;
 /// every request that can execute protocol code gets a kDone reply carrying
 /// the recorded effects. Queries (kQuery*, kSnapshot) are pure reads with
-/// typed replies. kRegisterTx is fire-and-forget: the socket's FIFO puts it
-/// ahead of any later delivery that could validate the transaction.
+/// typed replies. kRegisterTx is fire-and-forget. In lockstep mode every
+/// delivery rides the same socket, so its FIFO puts the truth ahead of any
+/// later delivery that could validate the transaction. A free-running node
+/// gets protocol traffic over its peer mesh instead, a different socket,
+/// and may have to wait for the truth (FreeNodeHost::await_truth).
 enum class ClusterPacket : std::uint16_t {
   // driver -> node
   kRegisterTx = 16,  // ground-truth forwarding (no reply)
@@ -42,8 +45,8 @@ enum class ClusterPacket : std::uint16_t {
   kQueryUnrevealed = 23,
   kSnapshot = 24,  // end-of-run chain + metrics
   kShutdown = 25,
-  kQueryHead = 26,  // convergence probe: chain head identity
-  kResync = 27,     // post-restart: recover clock and start sync_chain()
+  kQueryHead = 26,  // chain head identity (free-running nodes)
+  // 27 is unassigned (retired), so the other type values stay stable.
   kFreeStart = 28,      // free-run: self-drive rounds from an aligned t0
   kQueryFreeStats = 29, // free-run probe: head + liveness counters
   kQueryBlockAt = 30,   // fork probe: hash of the block at a given serial
@@ -57,6 +60,11 @@ enum class ClusterPacket : std::uint16_t {
   kFreeStats = 38,     // FreeRunStats
   kBlockHash = 39,     // BlockHashInfo
 };
+
+/// Deadline for one blocking control-plane exchange: the free-run driver's
+/// RPC timeout, and how long a free-running node waits on its control
+/// connection for a transaction's ground truth.
+inline constexpr std::uint64_t kRpcTimeoutUs = 10'000'000;
 
 /// One externally-visible action recorded by a node while running governor
 /// code, in program order. The driver replays kSend/kMulticast through its
@@ -101,8 +109,8 @@ struct GovernorState {
 [[nodiscard]] Bytes encode_state(const GovernorState& s);
 [[nodiscard]] GovernorState decode_state(BytesView data);
 
-/// kHead reply: the chain-head identity the convergence check compares
-/// across survivors and the restarted node.
+/// kHead reply (also the head inside FreeRunStats): the chain-head identity
+/// the free-run convergence check compares across nodes.
 struct HeadInfo {
   std::uint64_t serial = 0;        // head block serial (0 = empty chain)
   crypto::Hash256 hash{};          // H(head block)
@@ -112,11 +120,6 @@ struct HeadInfo {
 
 [[nodiscard]] Bytes encode_head(const HeadInfo& h);
 [[nodiscard]] HeadInfo decode_head(BytesView data);
-
-/// kResync: the master clock at re-admission; the node re-seats its virtual
-/// clock and starts the governor's chain catch-up.
-[[nodiscard]] Bytes encode_resync(SimTime now);
-[[nodiscard]] SimTime decode_resync(BytesView data);
 
 /// kSnapshotData reply: everything the end-of-run summary needs.
 struct GovernorSnapshotData {

@@ -3,9 +3,10 @@
 // Process supervision for live clusters: fork/exec of `node` processes with
 // per-node persisted state directories, SIGKILL mid-run, respawn as a
 // higher incarnation, and bounded-wait admission (accept + handshake with a
-// deadline). Shared by the cluster_driver tool's convergence mode and
-// bench_recovery's cluster-restart section; the ClusterRun supervision
-// callbacks (KillFn/RespawnFn) are thin lambdas over this class.
+// deadline). Shared by the cluster_driver tool's free-running mode,
+// bench_recovery's free_run_multi_crash series and the repository
+// benchmark; the FreeRunDriver supervision callbacks (KillFn/RespawnFn) are
+// thin lambdas over this class.
 
 #include <sys/types.h>
 
@@ -27,10 +28,11 @@ class ProcessSupervisor {
     std::string config_blob;  // path to the encoded ScenarioConfig
     std::uint16_t port = 0;   // where nodes dial the driver (or the proxy)
     /// Non-empty: per-node state directories <state_root>/node<i> are
-    /// passed as --state-dir so chains survive a SIGKILL.
+    /// passed as --state-dir so chains survive a SIGKILL (free-running
+    /// nodes only: `node` rejects --state-dir without --free-run).
     std::string state_root;
     /// Non-empty: each child's stderr is appended to <log_dir>/node<i>.log
-    /// (the convergence-diff artifact CI uploads on failure).
+    /// (an artifact CI uploads on failure).
     std::string log_dir;
     /// Extra argv entries appended to every spawn (e.g. --free-run,
     /// --peer-base=<port> for free-running nodes).

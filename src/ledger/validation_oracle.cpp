@@ -26,7 +26,11 @@ Label ValidationOracle::observe(const TxId& id, double accuracy, Rng& rng) const
 }
 
 bool ValidationOracle::true_validity(const TxId& id) const {
-  const auto it = truth_.find(id);
+  auto it = truth_.find(id);
+  if (it == truth_.end() && miss_hook_) {
+    miss_hook_(id);
+    it = truth_.find(id);
+  }
   if (it == truth_.end()) {
     throw ProtocolError("validate() on unregistered transaction");
   }

@@ -30,11 +30,19 @@ class ValidationOracle {
   void register_tx(const TxId& id, bool valid);
 
   /// Invoked on every register_tx (after the truth is recorded). The cluster
-  /// driver uses it to forward each truth to the replica oracles living in
-  /// governor node processes; a fresh registration reaches them before any
-  /// message that could trigger validating the transaction.
+  /// drivers use it to forward each truth to the replica oracles living in
+  /// governor node processes. The forwarded truth is not guaranteed to
+  /// arrive before the transaction does: a replica fed over another socket
+  /// installs a miss hook to wait for it.
   void set_register_hook(std::function<void(const TxId&, bool)> hook) {
     register_hook_ = std::move(hook);
+  }
+
+  /// Invoked when a lookup finds no truth for `id`, before the lookup gives
+  /// up and throws. A replica oracle uses it to wait for the pending
+  /// registration; the hook may call register_tx(id, ...) on this oracle.
+  void set_miss_hook(std::function<void(const TxId&)> hook) {
+    miss_hook_ = std::move(hook);
   }
 
   [[nodiscard]] bool is_registered(const TxId& id) const;
@@ -68,6 +76,7 @@ class ValidationOracle {
   std::unordered_map<TxId, bool, TxIdHash> truth_;
   std::uint64_t validations_ = 0;
   std::function<void(const TxId&, bool)> register_hook_;
+  std::function<void(const TxId&)> miss_hook_;
 };
 
 }  // namespace repchain::ledger

@@ -13,7 +13,7 @@ std::uint64_t link_key(NodeId from, NodeId to) {
 }
 }  // namespace
 
-SimNetwork::SimNetwork(EventQueue& queue, Rng rng, LatencyModel latency)
+SimNetwork::SimNetwork(runtime::EventLoop& queue, Rng rng, LatencyModel latency)
     : queue_(queue), rng_(rng), latency_(latency) {
   if (latency.min_delay > latency.max_delay) {
     throw ConfigError("latency min_delay > max_delay");

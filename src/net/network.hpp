@@ -11,7 +11,7 @@
 #include "common/ids.hpp"
 #include "common/rng.hpp"
 #include "common/sim_time.hpp"
-#include "net/event_queue.hpp"
+#include "runtime/event_loop.hpp"
 #include "runtime/message.hpp"
 #include "runtime/transport.hpp"
 
@@ -52,7 +52,7 @@ class SimNetwork final : public runtime::Transport {
  public:
   using Handler = std::function<void(const Message&)>;
 
-  SimNetwork(EventQueue& queue, Rng rng, LatencyModel latency);
+  SimNetwork(runtime::EventLoop& queue, Rng rng, LatencyModel latency);
 
   /// Register a new node; the handler may be installed later (two-phase
   /// construction lets nodes capture their own id).
@@ -86,7 +86,7 @@ class SimNetwork final : public runtime::Transport {
   [[nodiscard]] const NetworkStats& stats() const { return stats_; }
   void reset_stats() { stats_ = NetworkStats{}; }
 
-  [[nodiscard]] EventQueue& queue() { return queue_; }
+  [[nodiscard]] runtime::EventLoop& queue() { return queue_; }
   [[nodiscard]] runtime::TimerService& timers() override { return queue_; }
   [[nodiscard]] SimDuration max_delay() const override { return latency_.max_delay; }
   [[nodiscard]] std::size_t node_count() const { return handlers_.size(); }
@@ -104,7 +104,7 @@ class SimNetwork final : public runtime::Transport {
                        std::size_t payload_bytes) override;
 
  private:
-  EventQueue& queue_;
+  runtime::EventLoop& queue_;
   Rng rng_;
   LatencyModel latency_;
   std::vector<Handler> handlers_;

@@ -857,7 +857,6 @@ void Governor::on_state_commit(const runtime::Message& msg) {
 
 namespace {
 
-constexpr const char* kCkptMagicV1 = "repchain-governor-ckpt-v1";
 constexpr const char* kCkptMagicV2 = "repchain-governor-ckpt-v2";
 
 void encode_unchecked_entry(BinaryWriter& w, const UncheckedEntry& entry) {
@@ -900,7 +899,7 @@ Bytes Governor::checkpoint() const {
   for (const auto& block : chain_.blocks()) w.bytes(block.encode());
   w.bytes(table_.encode());
   w.bytes(stake_consensus_.stake().encode());
-  // v2: unchecked entries with their screening-time report snapshots, in
+  // Unchecked entries with their screening-time report snapshots, in
   // screening order, so case-3 updates survive a restore.
   const auto entries = argues_.entries_in_order();
   w.u64(entries.size());
@@ -911,8 +910,7 @@ Bytes Governor::checkpoint() const {
 void Governor::restore(BytesView data) {
   BinaryReader r(data);
   const std::string magic = r.str();
-  const bool v1 = magic == kCkptMagicV1;
-  if (!v1 && magic != kCkptMagicV2) {
+  if (magic != kCkptMagicV2) {
     throw DecodeError("bad governor checkpoint magic");
   }
   if (GovernorId(r.u32()) != id_) {
@@ -926,14 +924,12 @@ void Governor::restore(BytesView data) {
   }
   reputation::ReputationTable table = reputation::ReputationTable::decode(r.bytes());
   StakeLedger stake = StakeLedger::decode(r.bytes());
+  const std::uint64_t n_entries = r.u64();
+  r.expect_count(n_entries, 14);
   std::vector<UncheckedEntry> entries;
-  if (!v1) {
-    const std::uint64_t n_entries = r.u64();
-    r.expect_count(n_entries, 14);
-    entries.reserve(n_entries);
-    for (std::uint64_t i = 0; i < n_entries; ++i) {
-      entries.push_back(decode_unchecked_entry(r));
-    }
+  entries.reserve(n_entries);
+  for (std::uint64_t i = 0; i < n_entries; ++i) {
+    entries.push_back(decode_unchecked_entry(r));
   }
   r.expect_done();
 
@@ -941,8 +937,8 @@ void Governor::restore(BytesView data) {
   table_ = std::move(table);
   stake_consensus_.restore_stake(std::move(stake));
   // Rebuild the packed-transaction index from the restored chain; round
-  // transients (aggregations, election) are dropped. Unchecked entries are
-  // reinstalled from a v2 checkpoint (v1 blobs predate them: dropped).
+  // transients (aggregations, election) are dropped; unchecked entries are
+  // reinstalled.
   assembler_.reset_from_chain(chain_);
   intake_.clear();
   argues_.restore_entries(std::move(entries));

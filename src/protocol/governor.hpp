@@ -137,16 +137,15 @@ class Governor {
 
   /// Checkpoint the governor's durable state — chain, reputation table,
   /// stake ledger, and the unchecked entries with their screening-time
-  /// report snapshots (format v2; v1 dropped them, losing case-3 updates
-  /// across a restore) — as one verifiable blob. Round transients (pending
-  /// aggregations, election) are intentionally not persisted: a restarted
-  /// governor rejoins at the next round boundary.
+  /// report snapshots (format v2) — as one verifiable blob. Round
+  /// transients (pending aggregations, election) are intentionally not
+  /// persisted: a restarted governor rejoins at the next round boundary.
   [[nodiscard]] Bytes checkpoint() const;
 
   /// Restore a checkpoint produced by `checkpoint()` on a governor with the
-  /// same identity/configuration. Accepts the current v2 format and legacy
-  /// v1 blobs (whose unchecked entries are absent and stay dropped). Throws
-  /// DecodeError/ProtocolError on malformed or tampered input.
+  /// same identity/configuration. Only the v2 format decodes: any other
+  /// magic, the retired v1 layout included, throws DecodeError, as does
+  /// malformed input; tampered input throws DecodeError/ProtocolError.
   void restore(BytesView data);
 
   // --- Durable state --------------------------------------------------------

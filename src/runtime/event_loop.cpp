@@ -8,7 +8,7 @@ namespace repchain::runtime {
 
 void EventLoop::schedule_at(SimTime t, Callback cb) {
   // NetError (not a runtime-specific type) is kept for compatibility with
-  // the net::EventQueue era this class grew out of.
+  // the simulator event queue this class grew out of.
   if (t < now_) throw NetError("cannot schedule event in the past");
   heap_.push_back(Event{EventKey{t, next_seq_++}, std::move(cb)});
   std::push_heap(heap_.begin(), heap_.end(), Later{});

@@ -9,7 +9,7 @@ namespace repchain::sim {
 std::unique_ptr<runtime::FaultyTransport> FaultPlan::install_network_faults(
     const ScenarioConfig& config, net::SimNetwork& net,
     const protocol::Directory& directory, const protocol::RoundTiming& timing,
-    net::EventQueue& queue, const Rng& rng) {
+    runtime::EventLoop& queue, const Rng& rng) {
   if (config.faults.empty()) return nullptr;
   const auto round_start = [&timing](std::size_t r) {
     return static_cast<SimTime>(r - 1) * timing.round_span;
@@ -67,7 +67,7 @@ std::unique_ptr<runtime::FaultyTransport> FaultPlan::install_network_faults(
 }
 
 void FaultPlan::install_adversary(const ScenarioConfig& config, Wiring& wiring,
-                                  net::EventQueue& queue) {
+                                  runtime::EventLoop& queue) {
   if (config.adversary.empty()) return;
   const auto& spec = config.adversary;
   // Window boundaries are enqueued here, before any round's phase timers, so
@@ -131,7 +131,7 @@ void FaultPlan::apply_restarts(const ScenarioConfig& config, Wiring& wiring,
 }
 
 void FaultPlan::schedule_crashes(const ScenarioConfig& config, Wiring& wiring,
-                                 net::EventQueue& queue, Round round, SimTime t0) {
+                                 runtime::EventLoop& queue, Round round, SimTime t0) {
   for (const auto& plan : config.crashes) {
     if (plan.crash_round == round) {
       queue.schedule_at(t0 + plan.crash_offset,

@@ -28,14 +28,14 @@ class FaultPlan {
   static std::unique_ptr<runtime::FaultyTransport> install_network_faults(
       const ScenarioConfig& config, net::SimNetwork& net,
       const protocol::Directory& directory, const protocol::RoundTiming& timing,
-      net::EventQueue& queue, const Rng& rng);
+      runtime::EventLoop& queue, const Rng& rng);
 
   /// Lower config.adversary (round windows) onto scheduled behavior swaps:
   /// governor Byzantine flags, collector deviation profiles, and provider
   /// double-spend rates are installed at each window start and reverted at
   /// its end. Governor flags also persist through crash/restart rebuilds.
   static void install_adversary(const ScenarioConfig& config, Wiring& wiring,
-                                net::EventQueue& queue);
+                                runtime::EventLoop& queue);
 
   /// Rebuild every governor whose CrashPlan restarts at `round` (called at
   /// the round boundary, before timers are armed, so the recovered governor
@@ -45,7 +45,7 @@ class FaultPlan {
 
   /// Schedule this round's crashes at their configured mid-round offsets.
   static void schedule_crashes(const ScenarioConfig& config, Wiring& wiring,
-                               net::EventQueue& queue, Round round, SimTime t0);
+                               runtime::EventLoop& queue, Round round, SimTime t0);
 };
 
 }  // namespace repchain::sim

@@ -8,7 +8,7 @@
 
 namespace repchain::sim {
 
-Wiring::Wiring(ScenarioConfig& config, const Rng& rng, net::EventQueue& queue,
+Wiring::Wiring(ScenarioConfig& config, const Rng& rng, runtime::EventLoop& queue,
                RoundObserver& observer, RemoteGovernorLink* remote)
     : config_(config), rng_(rng), remote_(remote) {
   net_ = std::make_unique<net::SimNetwork>(queue, rng_.derive(1), config_.latency);

@@ -51,7 +51,7 @@ struct Wiring {
   /// and must outlive the Wiring; governor rebuilds re-read it. With a
   /// non-null `remote`, governor slots stay empty and deliveries to governor
   /// nodes are forwarded through the link (multi-process cluster runs).
-  Wiring(ScenarioConfig& config, const Rng& rng, net::EventQueue& queue,
+  Wiring(ScenarioConfig& config, const Rng& rng, runtime::EventLoop& queue,
          RoundObserver& observer, RemoteGovernorLink* remote = nullptr);
   ~Wiring();
 

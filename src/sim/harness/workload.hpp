@@ -6,7 +6,7 @@
 // the pinned-seed contract.
 
 #include "common/rng.hpp"
-#include "net/event_queue.hpp"
+#include "runtime/event_loop.hpp"
 #include "sim/harness/spec.hpp"
 
 namespace repchain::sim {
@@ -15,7 +15,7 @@ struct Wiring;
 
 class Workload {
  public:
-  Workload(const ScenarioConfig& config, const Rng& rng, net::EventQueue& queue,
+  Workload(const ScenarioConfig& config, const Rng& rng, runtime::EventLoop& queue,
            Wiring& wiring)
       : config_(config), rng_(rng), queue_(queue), wiring_(wiring) {}
 
@@ -29,7 +29,7 @@ class Workload {
  private:
   const ScenarioConfig& config_;
   Rng rng_;
-  net::EventQueue& queue_;
+  runtime::EventLoop& queue_;
   Wiring& wiring_;
 };
 

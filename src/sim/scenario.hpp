@@ -11,7 +11,7 @@
 #include <memory>
 
 #include "common/rng.hpp"
-#include "net/event_queue.hpp"
+#include "runtime/event_loop.hpp"
 #include "sim/harness/observation.hpp"
 #include "sim/harness/spec.hpp"
 #include "sim/harness/wiring.hpp"
@@ -96,7 +96,7 @@ class Scenario {
   [[nodiscard]] const RoundObserver& observer() const {
     return observation_.observer();
   }
-  [[nodiscard]] net::EventQueue& queue() { return queue_; }
+  [[nodiscard]] runtime::EventLoop& queue() { return queue_; }
   [[nodiscard]] identity::IdentityManager& identity_manager() {
     return *wiring_->im_;
   }
@@ -118,7 +118,7 @@ class Scenario {
  private:
   ScenarioConfig config_;
   Rng rng_;
-  net::EventQueue queue_;
+  runtime::EventLoop queue_;
   Observation observation_;  // declared before wiring_: governor contexts
                              // capture a pointer to its RoundObserver
   std::unique_ptr<Wiring> wiring_;

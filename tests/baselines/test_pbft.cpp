@@ -33,7 +33,7 @@ struct Cluster {
 
   void settle() { queue.run(); }
 
-  net::EventQueue queue;
+  runtime::EventLoop queue;
   Rng rng;
   net::SimNetwork net;
   identity::IdentityManager im;

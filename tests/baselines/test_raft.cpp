@@ -46,7 +46,7 @@ struct Cluster {
     return count;
   }
 
-  net::EventQueue queue;
+  runtime::EventLoop queue;
   Rng rng;
   net::SimNetwork net;
   std::vector<NodeId> nodes;

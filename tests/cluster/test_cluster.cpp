@@ -2,16 +2,21 @@
 // stand in for the forked node processes, which lets the lockstep replay be
 // asserted byte-for-byte against the simulation inside one test binary, and
 // lets the admission failures (wrong genesis, future version, bad role) be
-// driven from hand-crafted welcomes.
+// driven from hand-crafted welcomes. The crash-plan vocabulary of the
+// free-running mode is checked here too; its kill/respawn runs are the
+// cluster_free_run* and cluster_restart_converges* ctests.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 
+#include <filesystem>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "cluster/driver.hpp"
+#include "cluster/free_node.hpp"
+#include "cluster/free_run.hpp"
 #include "cluster/node_host.hpp"
 #include "cluster/sync_conn.hpp"
 #include "common/errors.hpp"
@@ -57,21 +62,6 @@ struct HostThread {
           }
         }) {}
   ~HostThread() { join(); }
-
-  /// Restarted-process flavor: serve incarnation `incarnation` against the
-  /// persisted `dir` (the constructor replays snapshot + WAL before serving).
-  HostThread(const sim::ScenarioConfig& config, std::size_t index,
-             std::string dir, std::uint32_t incarnation, int fd)
-      : thread([config, index, dir = std::move(dir), incarnation, fd, this] {
-          try {
-            NodeHost host(config, index, dir, incarnation);
-            host.serve(fd);
-          } catch (const wire::WireError& e) {
-            error = e.code();
-          } catch (const std::exception&) {
-            error = wire::ProtocolError::kBadPayload;  // unexpected kind
-          }
-        }) {}
 
   void join() {
     if (thread.joinable()) thread.join();
@@ -212,31 +202,33 @@ TEST(Cluster, HeadInfoCodecRoundTrip) {
   EXPECT_EQ(d.incarnation, h.incarnation);
 }
 
-TEST(Cluster, ResyncCodecRoundTrip) {
-  EXPECT_EQ(decode_resync(encode_resync(7'654'321)), 7'654'321u);
-}
-
 TEST(Cluster, RestartedNodeAnnouncesSessionResume) {
   const sim::ScenarioConfig config = small_config();
   const auto [driver_fd, node_fd] = stream_pair();
   char dir[] = "/tmp/repchain_resume_XXXXXX";
   ASSERT_NE(::mkdtemp(dir), nullptr);
 
-  // Incarnation 1 against an empty store: recovery finds nothing (head
-  // serial 0), but the welcome must still announce the returning life.
+  // A free-running incarnation 1 against an empty store: recovery finds
+  // nothing (head serial 0), but the welcome must still announce the
+  // returning life. Peer base 0 binds the mesh listener to an ephemeral
+  // port; governor 0 dials no lower-indexed peer.
   wire::ProtocolError error = wire::ProtocolError::kNone;
   std::thread node([&, node_fd] {
     try {
-      NodeHost host(config, 0, dir, /*incarnation=*/1);
-      host.serve(node_fd);
+      FreeNodeHost host(free_run_config(config), 0, /*peer_base=*/0, dir,
+                        /*incarnation=*/1);
+      host.run(node_fd);
     } catch (const wire::WireError& e) {
       error = e.code();
+    } catch (const std::exception&) {
+      error = wire::ProtocolError::kBadPayload;  // unexpected kind
     }
   });
 
   SyncConn conn(driver_fd);
+  const crypto::Hash256 genesis = genesis_of(free_run_config(config));
   const wire::Welcome remote =
-      handshake(conn, driver_welcome(genesis_of(config)), genesis_of(config));
+      handshake(conn, driver_welcome(genesis), genesis);
   EXPECT_TRUE(remote.resume);
   EXPECT_EQ(remote.incarnation, 1u);
   EXPECT_EQ(remote.head_serial, 0u);
@@ -245,6 +237,7 @@ TEST(Cluster, RestartedNodeAnnouncesSessionResume) {
   (void)conn.recv_frame();
   node.join();
   EXPECT_EQ(error, wire::ProtocolError::kNone);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Cluster, CrashPlanParsesCanonicalSpec) {
@@ -327,66 +320,6 @@ TEST(Cluster, MinLiveGovernorsTracksOverlappingWindows) {
   EXPECT_EQ(election_quorum(3), 2u);
   EXPECT_EQ(election_quorum(4), 3u);
   EXPECT_EQ(election_quorum(5), 3u);
-}
-
-TEST(Cluster, QuorumLossStallsAndRecoversUnderSupervision) {
-  // Three governors (quorum 2); both victims die in round 1, leaving a lone
-  // survivor below quorum, then return one at a time. The run must record
-  // the quorum loss and still converge once the committee is whole again.
-  sim::ScenarioConfig config = small_config();
-  config.topology.governors = 3;
-  config.rounds = 3;
-  const crypto::Hash256 genesis = genesis_of(config);
-  const std::size_t governors = config.topology.governors;
-
-  const std::vector<CrashPlan> plans = {CrashPlan{1, 1, 2}, CrashPlan{2, 1, 3}};
-  validate_crash_plans(plans, governors, config.rounds);
-  ASSERT_LT(min_live_governors(plans, governors, config.rounds),
-            election_quorum(governors));
-
-  std::vector<std::unique_ptr<HostThread>> hosts;
-  std::vector<std::unique_ptr<SyncConn>> conns(governors);
-  const wire::Welcome local = driver_welcome(genesis);
-  for (std::size_t i = 0; i < governors; ++i) {
-    const auto [driver_fd, node_fd] = stream_pair();
-    hosts.push_back(std::make_unique<HostThread>(config, i, node_fd));
-    auto conn = std::make_unique<SyncConn>(driver_fd);
-    const wire::Welcome remote = handshake(*conn, local, genesis);
-    ASSERT_EQ(remote.node_index, i);
-    conns[remote.node_index] = std::move(conn);
-  }
-
-  std::vector<std::string> dirs(governors);
-  for (std::size_t i = 0; i < governors; ++i) {
-    char dir[] = "/tmp/repchain_quorum_XXXXXX";
-    ASSERT_NE(::mkdtemp(dir), nullptr);
-    dirs[i] = dir;
-  }
-
-  ClusterRun run(config, std::move(conns));
-  // Killing here means dropping the driver connection: ClusterRun closes the
-  // socket right after this hook, which is what SIGKILLs the hosted thread.
-  const auto kill = [](std::size_t) {};
-  const auto respawn = [&](std::size_t index, std::uint32_t incarnation) {
-    const auto [driver_fd, node_fd] = stream_pair();
-    hosts.push_back(std::make_unique<HostThread>(config, index, dirs[index],
-                                                 incarnation, node_fd));
-    auto conn = std::make_unique<SyncConn>(driver_fd);
-    const wire::Welcome remote = handshake(*conn, local, genesis);
-    EXPECT_TRUE(remote.resume);
-    EXPECT_EQ(remote.incarnation, incarnation);
-    return conn;
-  };
-  run.set_supervision(plans, kill, respawn);
-
-  const ConvergenceReport report = run.run_converge();
-  EXPECT_TRUE(report.converged);
-  EXPECT_GT(report.head_serial, 0u);
-  EXPECT_TRUE(report.degradation.quorum_lost);
-  EXPECT_EQ(report.degradation.min_live, 1u);
-  EXPECT_EQ(report.degradation.last_restart_round, 3u);
-  EXPECT_GE(report.restart_attempts, 2u);
-  EXPECT_GE(report.converged_round, report.degradation.last_restart_round);
 }
 
 }  // namespace

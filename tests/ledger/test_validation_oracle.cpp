@@ -27,6 +27,21 @@ TEST(ValidationOracle, UnregisteredValidateThrows) {
   EXPECT_THROW((void)oracle.validate(make_id(9)), ProtocolError);
 }
 
+TEST(ValidationOracle, MissHookMaySupplyTheTruth) {
+  ValidationOracle oracle;
+  int misses = 0;
+  oracle.set_miss_hook([&](const TxId& id) {
+    ++misses;
+    if (id == make_id(1)) oracle.register_tx(id, false);
+  });
+  EXPECT_FALSE(oracle.validate(make_id(1)));  // supplied by the hook
+  EXPECT_FALSE(oracle.validate(make_id(1)));  // now a plain hit
+  EXPECT_EQ(misses, 1);
+  // A hook that cannot supply the truth leaves the miss fatal.
+  EXPECT_THROW((void)oracle.validate(make_id(2)), ProtocolError);
+  EXPECT_EQ(misses, 2);
+}
+
 TEST(ValidationOracle, DuplicateRegistrationConsistentOk) {
   ValidationOracle oracle;
   oracle.register_tx(make_id(1), true);

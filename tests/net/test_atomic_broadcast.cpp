@@ -24,7 +24,7 @@ struct GroupFixture {
     group = std::make_unique<AtomicBroadcastGroup>(net, member_ids);
   }
 
-  EventQueue queue;
+  runtime::EventLoop queue;
   SimNetwork net;
   std::vector<NodeId> member_ids;
   std::vector<std::vector<Bytes>> received;
@@ -42,7 +42,7 @@ TEST(AtomicBroadcast, AllMembersReceiveEveryBroadcast) {
 }
 
 TEST(AtomicBroadcast, EmptyGroupRejected) {
-  EventQueue q;
+  runtime::EventLoop q;
   SimNetwork net(q, Rng(1), LatencyModel{});
   EXPECT_THROW(AtomicBroadcastGroup(net, {}), ConfigError);
 }
@@ -82,7 +82,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AtomicBroadcastOrder,
 
 TEST(AtomicBroadcast, NonMemberSenderStillReachesGroup) {
   // A provider broadcasting to its collectors is not itself a member.
-  EventQueue queue;
+  runtime::EventLoop queue;
   SimNetwork net(queue, Rng(9), LatencyModel{1, 10});
   const NodeId outsider = net.add_node();
   std::vector<NodeId> members;
@@ -118,7 +118,7 @@ TEST(AtomicBroadcast, SequenceAdvances) {
 TEST(AtomicBroadcast, DeliveryWithinSynchronyBoundPerBroadcast) {
   // Each copy's raw link delay is bounded; queuing for order can add at most
   // the backlog of earlier broadcasts, which for spaced broadcasts is zero.
-  EventQueue queue;
+  runtime::EventLoop queue;
   SimNetwork net(queue, Rng(10), LatencyModel{1 * kMillisecond, 5 * kMillisecond});
   const NodeId member = net.add_node();
   std::vector<SimTime> delivered;

@@ -1,4 +1,4 @@
-#include "net/event_queue.hpp"
+#include "runtime/event_loop.hpp"
 
 #include <gtest/gtest.h>
 
@@ -8,14 +8,14 @@ namespace repchain::net {
 namespace {
 
 TEST(EventQueue, StartsEmptyAtTimeZero) {
-  EventQueue q;
+  runtime::EventLoop q;
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.now(), 0u);
   EXPECT_EQ(q.run(), 0u);
 }
 
 TEST(EventQueue, EventsFireInTimeOrder) {
-  EventQueue q;
+  runtime::EventLoop q;
   std::vector<int> order;
   q.schedule_at(30, [&] { order.push_back(3); });
   q.schedule_at(10, [&] { order.push_back(1); });
@@ -26,7 +26,7 @@ TEST(EventQueue, EventsFireInTimeOrder) {
 }
 
 TEST(EventQueue, EqualTimesFireFifo) {
-  EventQueue q;
+  runtime::EventLoop q;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
     q.schedule_at(5, [&order, i] { order.push_back(i); });
@@ -36,7 +36,7 @@ TEST(EventQueue, EqualTimesFireFifo) {
 }
 
 TEST(EventQueue, EventsCanScheduleEvents) {
-  EventQueue q;
+  runtime::EventLoop q;
   std::vector<SimTime> fired;
   q.schedule_at(10, [&] {
     fired.push_back(q.now());
@@ -47,14 +47,14 @@ TEST(EventQueue, EventsCanScheduleEvents) {
 }
 
 TEST(EventQueue, SchedulingInPastThrows) {
-  EventQueue q;
+  runtime::EventLoop q;
   q.schedule_at(100, [] {});
   q.run();
   EXPECT_THROW(q.schedule_at(50, [] {}), NetError);
 }
 
 TEST(EventQueue, RunMaxEventsStopsEarly) {
-  EventQueue q;
+  runtime::EventLoop q;
   int count = 0;
   for (int i = 0; i < 10; ++i) q.schedule_at(i, [&] { ++count; });
   EXPECT_EQ(q.run(4), 4u);
@@ -65,7 +65,7 @@ TEST(EventQueue, RunMaxEventsStopsEarly) {
 }
 
 TEST(EventQueue, RunUntilRespectsBoundaryInclusive) {
-  EventQueue q;
+  runtime::EventLoop q;
   std::vector<SimTime> fired;
   for (SimTime t : {5u, 10u, 15u, 20u}) {
     q.schedule_at(t, [&fired, &q] { fired.push_back(q.now()); });
@@ -78,13 +78,13 @@ TEST(EventQueue, RunUntilRespectsBoundaryInclusive) {
 }
 
 TEST(EventQueue, RunUntilAdvancesTimeWhenIdle) {
-  EventQueue q;
+  runtime::EventLoop q;
   q.run_until(1000);
   EXPECT_EQ(q.now(), 1000u);
 }
 
 TEST(EventQueue, ProcessedCounterAccumulates) {
-  EventQueue q;
+  runtime::EventLoop q;
   for (int i = 0; i < 5; ++i) q.schedule_at(i, [] {});
   q.run();
   EXPECT_EQ(q.processed(), 5u);

@@ -73,7 +73,7 @@ struct FaultNetFixture {
     }
   }
 
-  EventQueue queue;
+  runtime::EventLoop queue;
   SimNetwork net;
   std::vector<NodeId> ids;
   std::vector<int> counts;

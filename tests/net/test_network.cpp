@@ -10,7 +10,7 @@ namespace repchain::net {
 namespace {
 
 struct Fixture {
-  EventQueue queue;
+  runtime::EventLoop queue;
   SimNetwork net{queue, Rng(77), LatencyModel{2 * kMillisecond, 9 * kMillisecond}};
 };
 
@@ -219,13 +219,13 @@ TEST(Network, LinkDelayExtendsOneDirectionOnly) {
 }
 
 TEST(Network, InvalidLatencyModelThrows) {
-  EventQueue q;
+  runtime::EventLoop q;
   EXPECT_THROW(SimNetwork(q, Rng(1), LatencyModel{10, 5}), ConfigError);
 }
 
 TEST(Network, DeterministicAcrossIdenticalRuns) {
   auto run = [](std::uint64_t seed) {
-    EventQueue q;
+    runtime::EventLoop q;
     SimNetwork net(q, Rng(seed), LatencyModel{1, 100});
     const NodeId a = net.add_node();
     const NodeId b = net.add_node();

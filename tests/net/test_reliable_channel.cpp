@@ -31,7 +31,7 @@ struct ChannelFixture {
     b.set_deliver([this](const Message& m) { b_delivered.push_back(m); });
   }
 
-  EventQueue queue;
+  runtime::EventLoop queue;
   SimNetwork net;
   NodeId a_id;
   NodeId b_id;

@@ -1,6 +1,6 @@
 // Fault-injection coverage of SimNetwork exercised through the
 // runtime::Transport interface — the surface the protocol nodes are written
-// against — plus the EventQueue::run_until boundary semantics the
+// against — plus the runtime::EventLoop::run_until boundary semantics the
 // timer-driven rounds rely on.
 #include <gtest/gtest.h>
 
@@ -22,7 +22,7 @@ struct FaultFixture : ::testing::Test {
   // node would.
   runtime::Transport& transport() { return net; }
 
-  EventQueue queue;
+  runtime::EventLoop queue;
   SimNetwork net;
   NodeId a, b;
   std::vector<Message> at_a, at_b;
@@ -105,7 +105,7 @@ TEST_F(FaultFixture, DeliveryHonorsTheSynchronyBound) {
 }
 
 TEST(EventQueueBoundary, RunUntilIsInclusiveAndAdvancesTheClock) {
-  EventQueue q;
+  runtime::EventLoop q;
   std::vector<int> fired;
   q.schedule_at(100, [&] { fired.push_back(1); });
   q.schedule_at(101, [&] { fired.push_back(2); });
@@ -127,7 +127,7 @@ TEST(EventQueueBoundary, RunUntilIsInclusiveAndAdvancesTheClock) {
 TEST(EventQueueBoundary, EqualTimeEventsFireInSchedulingOrder) {
   // The FIFO tie-break is what makes arming node timers in node order
   // deterministic; pin it.
-  EventQueue q;
+  runtime::EventLoop q;
   std::vector<int> fired;
   for (int i = 0; i < 5; ++i) {
     q.schedule_at(10, [&fired, i] { fired.push_back(i); });

@@ -100,7 +100,7 @@ struct World {
 
   void settle() { queue.run(); }
 
-  net::EventQueue queue;
+  runtime::EventLoop queue;
   Rng rng;
   net::SimNetwork net;
   identity::IdentityManager im;
@@ -538,9 +538,9 @@ TEST(GovernorCheckpoint, V2RoundTripCarriesUncheckedEntries) {
   const auto ids = make_unchecked(w);
   ASSERT_FALSE(ids.empty());
 
-  // The satellite-1 gap: v1 checkpoints dropped the screening-time report
-  // snapshots, so a restored governor could never run the case-3 update.
-  // v2 must round-trip them.
+  // v1 checkpoints dropped the screening-time report snapshots, so a
+  // restored governor could never run the case-3 update. v2 must
+  // round-trip them.
   const Bytes ckpt = w.governors[0].checkpoint();
   w.governors[0].restore(ckpt);
   EXPECT_EQ(w.governors[0].unrevealed_unchecked(), ids);
@@ -565,13 +565,13 @@ TEST(GovernorCheckpoint, V2PreservesRevealedFlagAcrossRestore) {
   for (const auto& id : unrevealed) EXPECT_FALSE(id == ids.front());
 }
 
-TEST(GovernorCheckpoint, LegacyV1BlobStillRestores) {
+TEST(GovernorCheckpoint, LegacyV1BlobIsRejected) {
   World w;
   const auto ids = make_unchecked(w);
   ASSERT_FALSE(ids.empty());
   const std::size_t height_before = w.governors[0].chain().height();
 
-  // Transcode the v2 checkpoint into the legacy v1 layout (same fields
+  // Transcode the v2 checkpoint into the retired v1 layout (same fields
   // minus the trailing unchecked-entry section, v1 magic).
   const Bytes ckpt = w.governors[0].checkpoint();
   BinaryReader r(ckpt);
@@ -585,12 +585,10 @@ TEST(GovernorCheckpoint, LegacyV1BlobStillRestores) {
   v1.bytes(r.bytes());  // reputation table
   v1.bytes(r.bytes());  // stake ledger
 
-  w.governors[0].restore(std::move(v1).take());
+  // Only v2 decodes; the rejected blob leaves the governor untouched.
+  EXPECT_THROW(w.governors[0].restore(std::move(v1).take()), DecodeError);
   EXPECT_EQ(w.governors[0].chain().height(), height_before);
-  EXPECT_EQ(w.governors[0].reputation().collector_count(), 2u);
-  // v1 semantics: the unchecked entries are gone after restore.
-  EXPECT_TRUE(w.governors[0].unrevealed_unchecked().empty());
-  EXPECT_FALSE(w.governors[0].reveal_unchecked(ids.front()));
+  EXPECT_EQ(w.governors[0].unrevealed_unchecked(), ids);
 }
 
 TEST(GovernorMisc, UnknownMessageKindIgnored) {

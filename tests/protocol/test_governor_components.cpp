@@ -230,7 +230,7 @@ struct StakeFixture : ::testing::Test {
   }
 
   Rng rng{31};
-  net::EventQueue queue;
+  runtime::EventLoop queue;
   net::SimNetwork net{queue, Rng(32), net::LatencyModel{1 * kMillisecond,
                                                         2 * kMillisecond}};
   identity::IdentityManager im{crypto::random_seed(rng)};

@@ -1,4 +1,4 @@
-// Loopback cluster golden check, three modes.
+// Loopback cluster golden check, two modes.
 //
 // Lockstep (default): run a golden scenario twice — once fully in-process
 // (the simulation the goldens pin) and once with every governor in its own
@@ -7,24 +7,19 @@
 // The lockstep replay (src/cluster/) makes the comparison exact: any
 // divergence, down to one ULP of a double, is a bug.
 //
-// Converge (--mode=converge): fault-tolerance golden. Nodes run with
-// persisted state directories; the driver SIGKILLs victims mid-round per
-// the crash schedule, respawns each against its on-disk WAL/snapshot as a
-// higher incarnation, re-admits it via the session-resume welcome, and the
-// run passes when every survivor plus the restarted nodes report an
-// identical non-empty chain head (serial, hash, committed txs) —
-// convergence instead of byte-identity.
-//
 // Free (--mode=free): free-running golden. Every node self-drives its
 // rounds on a real monotonic clock and exchanges protocol traffic
 // peer-to-peer (see src/cluster/free_run.hpp); the driver becomes an
-// observer enforcing the statistical convergence contract. The same
-// multi-victim crash schedule applies — including overlapping kills that
-// transiently drop the committee below election quorum, which must stall
-// safely (watchdog trips, no fork) and recover after the respawns.
+// observer enforcing the statistical convergence contract. Nodes run with
+// persisted state directories, and the multi-victim crash schedule
+// SIGKILLs victims mid-round and respawns each against its on-disk
+// WAL/snapshot as a higher incarnation, re-admitted via the session-resume
+// welcome. Overlapping kills that transiently drop the committee below
+// election quorum must stall safely (watchdog trips, no fork) and recover
+// after the respawns.
 //
 //   cluster_driver [--scenario=mixed|gossip] [--artifact-dir=<dir>]
-//                  [--mode=lockstep|converge|free]
+//                  [--mode=lockstep|free]
 //                  [--kill=<victim>@<kill_round>:<restart_round>]...
 //                  [--state-root=<dir>] [--listen-port=<port>]
 //                  [--node-port=<port>] [--peer-base=<port>]
@@ -36,8 +31,9 @@
 // listener, which the proxy forwards to. --peer-base (free mode) sets the
 // first port of the node-to-node mesh: node i listens on peer_base + i.
 //
-// On a mismatch the hexfloat renderings of both runs are written to
-// <artifact-dir>/cluster_diff_<scenario>.txt (CI uploads them) and the exit
+// On a lockstep mismatch the hexfloat renderings of both runs are written
+// to <artifact-dir>/cluster_diff_<scenario>.txt; a failed free-run contract
+// writes <artifact-dir>/free_run_<scenario>.txt (CI uploads both). The exit
 // code is the number of failing scenarios.
 
 #include <libgen.h>
@@ -235,124 +231,6 @@ void print_degradation(const char* name, const cluster::DegradationReport& d,
               d.quorum_lost ? " (quorum lost)" : "", d.stalled_events,
               d.stall_last - d.stall_first, restart_attempts,
               static_cast<unsigned>(d.rounds_to_recover), d.spontaneous_exits);
-}
-
-/// Run one golden in convergence mode: supervised nodes with persisted
-/// state, a SIGKILL + respawn per the crash schedule, head-agreement verdict.
-int converge_run(const Golden& golden,
-                 const std::vector<cluster::CrashPlan>& plans,
-                 const std::string& artifact_dir, std::string state_root,
-                 std::uint16_t listen_port, std::uint16_t node_port,
-                 Round grace) {
-  sim::ScenarioConfig config = golden.config;
-  sim::normalize_config(config);
-  const crypto::Hash256 genesis = sim::config_genesis(config);
-  const std::size_t governors = config.topology.governors;
-  const std::string blob_path =
-      write_blob(sim::encode_config(config), golden.name);
-
-  std::uint16_t port = 0;
-  const int listen_fd = listen_loopback(port, listen_port);
-
-  if (state_root.empty()) {
-    state_root = "/tmp/repchain_state_XXXXXX";
-    if (::mkdtemp(state_root.data()) == nullptr) {
-      throw NetError(std::string("mkdtemp: ") + std::strerror(errno));
-    }
-  } else {
-    // A fixed --state-root (the ctest entry reuses one under the build
-    // dir) must start cold: a leftover chain from a previous run would
-    // make the respawned node resume ahead of the survivors.
-    std::error_code ec;
-    std::filesystem::remove_all(state_root, ec);
-  }
-
-  cluster::ProcessSupervisor::Options sopts;
-  sopts.node_bin = self_dir() + "/node";
-  sopts.config_blob = blob_path;
-  sopts.port = node_port != 0 ? node_port : port;
-  sopts.state_root = state_root;
-  sopts.log_dir = artifact_dir;
-  cluster::ProcessSupervisor sup(sopts, governors);
-  for (std::size_t i = 0; i < governors; ++i) sup.spawn(i);
-
-  constexpr int kAdmitMs = 15'000;
-  std::vector<std::unique_ptr<cluster::SyncConn>> conns(governors);
-  const wire::Welcome local = cluster::driver_welcome(genesis);
-  for (std::size_t admitted = 0; admitted < governors; ++admitted) {
-    wire::Welcome remote;
-    auto conn =
-        cluster::admit_node(listen_fd, local, genesis, governors, kAdmitMs,
-                            &remote);
-    if (conns[remote.node_index] != nullptr) {
-      throw wire::WireError(wire::ProtocolError::kBadNodeIndex,
-                            "governor index " +
-                                std::to_string(remote.node_index) +
-                                " admitted twice");
-    }
-    conns[remote.node_index] = std::move(conn);
-  }
-  // Listener stays open: the respawned node re-admits through it.
-
-  cluster::ClusterRun run(golden.config, std::move(conns));
-  run.set_supervision(
-      plans, [&sup](std::size_t i) { sup.kill(i); },
-      [&](std::size_t i, std::uint32_t incarnation) {
-        sup.spawn(i, incarnation);
-        wire::Welcome remote;
-        auto conn = cluster::admit_node(listen_fd, local, genesis, governors,
-                                        kAdmitMs, &remote);
-        if (remote.node_index != i || !remote.resume ||
-            remote.incarnation != incarnation) {
-          throw wire::WireError(wire::ProtocolError::kBadNodeIndex,
-                                "respawn admitted the wrong node or a "
-                                "non-resuming welcome");
-        }
-        std::printf("%-8s respawned node %zu as incarnation %u "
-                    "(recovered head serial %" PRIu64 ")\n",
-                    golden.name, i, incarnation, remote.head_serial);
-        return conn;
-      });
-  cluster::ConvergenceReport report = run.run_converge(grace);
-  report.degradation.spontaneous_exits = sup.report().spontaneous_exits;
-  ::close(listen_fd);
-
-  for (std::size_t i = 0; i < governors; ++i) {
-    const int status = sup.wait_exit(i);
-    if (status != 0 && (!WIFEXITED(status) || WEXITSTATUS(status) != 0)) {
-      std::fprintf(stderr, "%-8s node %zu exited abnormally (status %d)\n",
-                   golden.name, i, status);
-    }
-  }
-  ::unlink(blob_path.c_str());
-
-  if (report.converged) {
-    std::printf("%-8s CONVERGED  head serial %" PRIu64 " hash %.16s… "
-                "%" PRIu64 " txs, %u rounds (kill@%" PRIu64 "us, "
-                "rejoin@%" PRIu64 "us, %u restart attempts)\n",
-                golden.name, report.head_serial, report.head_hash_hex.c_str(),
-                report.committed_txs,
-                static_cast<unsigned>(report.rounds_run), report.killed_at,
-                report.rejoined_at, report.restart_attempts);
-    print_degradation(golden.name, report.degradation, governors,
-                      report.restart_attempts);
-    return 0;
-  }
-  const std::string path =
-      artifact_dir + "/cluster_diff_" + std::string(golden.name) + ".txt";
-  std::ofstream out(path);
-  out << "convergence FAILED after " << report.rounds_run << " rounds\n"
-      << "crash schedule: " << render_plans(plans) << " (first kill t="
-      << report.killed_at << "us, last rejoin t=" << report.rejoined_at
-      << "us, attempts " << report.restart_attempts << ")\n"
-      << "quorum_lost " << report.degradation.quorum_lost << " min_live "
-      << report.degradation.min_live << " stalls "
-      << report.degradation.stalled_events << "\n"
-      << "last agreed head: serial " << report.head_serial << " hash "
-      << report.head_hash_hex << "\n";
-  std::fprintf(stderr, "%-8s DID NOT CONVERGE — report written to %s\n",
-               golden.name, path.c_str());
-  return 1;
 }
 
 /// Run one golden in free-running mode: every node self-drives rounds on a
@@ -555,7 +433,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: cluster_driver [--scenario=mixed|gossip] "
-                   "[--artifact-dir=<dir>] [--mode=lockstep|converge|free] "
+                   "[--artifact-dir=<dir>] [--mode=lockstep|free] "
                    "[--kill=v@k:r]... [--state-root=<dir>] "
                    "[--listen-port=<p>] [--node-port=<p>] "
                    "[--peer-base=<p>] [--grace=<rounds>]\n");
@@ -577,26 +455,16 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (mode == "converge" || mode == "free") {
-    // Converge keeps its historical default schedule; free mode with no
-    // --kill is the zero-fault contract check.
-    if (mode == "converge" && kills.empty()) kills.push_back({1, 2, 4});
+  if (mode == "free") {
+    // With no --kill this is the zero-fault contract check.
     int failures = 0;
     for (const Golden& golden : goldens) {
       try {
-        cluster::validate_crash_plans(kills, golden.config.topology.governors,
-                                      golden.config.rounds);
-        failures +=
-            mode == "free"
-                ? free_run(golden, kills, artifact_dir, state_root,
-                           static_cast<std::uint16_t>(listen_port),
-                           static_cast<std::uint16_t>(node_port),
-                           static_cast<std::uint16_t>(peer_base),
-                           static_cast<Round>(grace))
-                : converge_run(golden, kills, artifact_dir, state_root,
-                               static_cast<std::uint16_t>(listen_port),
-                               static_cast<std::uint16_t>(node_port),
-                               static_cast<Round>(grace));
+        failures += free_run(golden, kills, artifact_dir, state_root,
+                             static_cast<std::uint16_t>(listen_port),
+                             static_cast<std::uint16_t>(node_port),
+                             static_cast<std::uint16_t>(peer_base),
+                             static_cast<Round>(grace));
       } catch (const std::exception& e) {
         ++failures;
         std::fprintf(stderr, "%-8s FAILED: %s\n", golden.name, e.what());

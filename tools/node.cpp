@@ -5,19 +5,19 @@
 // by cluster_driver; runnable by hand for debugging a single node.
 //
 //   node --config=<blob-file> --index=<governor index> --connect=<port>
-//        [--state-dir=<dir>] [--incarnation=<n>]
-//        [--free-run --peer-base=<port>]
-//
-// --state-dir attaches a durable FileStateStore (WAL + snapshots) so the
-// chain survives a SIGKILL; --incarnation=<n> (n > 0) marks a restarted
-// process: it replays its store before dialing and announces session
-// resume in its welcome.
+//        [--free-run --peer-base=<port> [--state-dir=<dir>] [--incarnation=<n>]]
 //
 // --free-run switches from the lockstep RPC loop to the self-driving mode:
 // the governor's rounds are armed on a real poll loop, protocol traffic
 // travels peer-to-peer over a TCP mesh (this node listens on
 // --peer-base + index and dials every lower-indexed peer), and the dialed
 // driver port becomes a thin control/observation channel.
+//
+// Free-running nodes can crash and return. --state-dir attaches a durable
+// FileStateStore (WAL + snapshots) so the chain survives a SIGKILL;
+// --incarnation=<n> (n > 0) marks a restarted process: it replays its store
+// before dialing and announces session resume in its welcome. A lockstep
+// node has neither: its replay is byte-identical or it fails.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -98,8 +98,11 @@ int main(int argc, char** argv) {
   if (config_path.empty() || index < 0 || port <= 0 || port > 65535 ||
       incarnation < 0) {
     die("usage: node --config=<blob-file> --index=<i> --connect=<port> "
-        "[--state-dir=<dir>] [--incarnation=<n>] "
-        "[--free-run --peer-base=<port>]");
+        "[--free-run --peer-base=<port> [--state-dir=<dir>] "
+        "[--incarnation=<n>]]");
+  }
+  if (!free_run && (!state_dir.empty() || incarnation > 0)) {
+    die("--state-dir and --incarnation require --free-run");
   }
   if (incarnation > 0 && state_dir.empty()) {
     die("--incarnation requires --state-dir (nothing to recover from)");
@@ -117,8 +120,7 @@ int main(int argc, char** argv) {
                                  static_cast<std::uint32_t>(incarnation));
       host.run(dial(static_cast<std::uint16_t>(port)));
     } else {
-      cluster::NodeHost host(config, static_cast<std::size_t>(index), state_dir,
-                             static_cast<std::uint32_t>(incarnation));
+      cluster::NodeHost host(config, static_cast<std::size_t>(index));
       host.serve(dial(static_cast<std::uint16_t>(port)));
     }
   } catch (const std::exception& e) {

@@ -128,5 +128,80 @@ TEST(GoldenSummary, EquivocationGossipSeed2112) {
                                {4, 3, 8, 39, 180, 0x0p+0, 0}});
 }
 
+
+// Reliable delivery pinned end to end: per-peer ReliableChannel fan-out with
+// acks and retransmits, majority-quorum election closure, label gossip,
+// in-memory durable stores, one stake transfer through the 3-step consensus,
+// and a mid-round crash of governor 3 with a restart two rounds later (fresh
+// channel epoch, store recovery, catch-up sync, restart hold-down).
+TEST(GoldenSummary, ReliableCommitteeCrashRestartSeed77) {
+  ScenarioConfig cfg;
+  cfg.topology.providers = 10;
+  cfg.topology.collectors = 4;
+  cfg.topology.governors = 5;
+  cfg.topology.r = 2;
+  cfg.rounds = 7;
+  cfg.txs_per_provider_per_round = 1;
+  cfg.p_valid = 0.7;
+  cfg.audit_probability = 0.5;
+  cfg.behaviors = {protocol::CollectorBehavior::honest(),
+                   protocol::CollectorBehavior::noisy(0.9),
+                   protocol::CollectorBehavior::misreporting(0.3)};
+  cfg.reliable_delivery = true;
+  cfg.enable_label_gossip = true;
+  cfg.durable_governors = true;
+  cfg.governor_stakes = {3, 2, 2, 2, 2};
+  cfg.crashes = {CrashPlan{3, 2, 5 * kMillisecond, 4}};
+  cfg.seed = 77;
+  Scenario s(cfg);
+  for (std::size_t r = 1; r <= cfg.rounds; ++r) {
+    if (r == 3) s.governor(0).submit_stake_transfer(GovernorId(1), 1);
+    s.run_round();
+  }
+  const auto sum = s.summary();
+  EXPECT_EQ(sum.txs_submitted, 70u);
+  EXPECT_EQ(sum.blocks, 7u);
+  EXPECT_EQ(sum.chain_valid_txs, 46u);
+  EXPECT_EQ(sum.chain_unchecked_txs, 9u);
+  EXPECT_EQ(sum.chain_argued_txs, 0u);
+  EXPECT_TRUE(sum.agreement);
+  EXPECT_TRUE(sum.chains_audit_ok);
+  EXPECT_EQ(sum.stalled_events, 0u);
+  EXPECT_EQ(sum.validations_total, 306u);
+  EXPECT_EQ(sum.mean_governor_expected_loss, 0x1.f7fee55d6dfd8p-1);
+  EXPECT_EQ(sum.mean_governor_realized_loss, 0x1.3333333333333p+0);
+  EXPECT_EQ(sum.mean_governor_mistakes, 0u);
+  EXPECT_EQ(sum.network.messages_sent, 4008u);
+  EXPECT_EQ(sum.network.messages_dropped, 0u);
+  EXPECT_EQ(sum.network.bytes_sent, 1135451u);
+
+  const std::vector<double> rewards{0x1.b829db7b33da3p+3, 0x1.b829db7b33da3p+3,
+                                    0x1.2d5e092834c6dp+2, 0x1.b8fd44757de84p+3};
+  EXPECT_EQ(s.collector_rewards(), rewards);
+  const std::vector<std::uint64_t> leads{3, 0, 2, 0, 2};
+  EXPECT_EQ(s.leader_counts(), leads);
+
+  expect_history(s.history(), {{1, 2, 6, 45, 522, 0x0p+0, 0},
+                               {2, 0, 7, 33, 558, 0x0p+0, 0},
+                               {3, 0, 5, 34, 566, 0x0p+0, 0},
+                               {4, 4, 9, 50, 758, 0x0p+0, 0},
+                               {5, 2, 11, 48, 567, 0x0p+0, 0},
+                               {6, 4, 10, 50, 516, 0x0p+0, 0},
+                               {7, 0, 7, 46, 516, 0x0p+0, 0}});
+
+  // The transfer committed on every replica, the restarted one included.
+  const std::vector<std::uint64_t> stake{2, 3, 2, 2, 2};
+  for (std::size_t g = 0; g < cfg.topology.governors; ++g) {
+    SCOPED_TRACE(testing::Message() << "governor " << g);
+    EXPECT_EQ(s.governor(g).chain().height(), 7u);
+    for (std::size_t k = 0; k < stake.size(); ++k) {
+      EXPECT_EQ(s.governor(g).stake().of(GovernorId(static_cast<std::uint32_t>(k))),
+                stake[k]);
+    }
+  }
+  ASSERT_NE(s.governor(0).channel(), nullptr);
+  EXPECT_EQ(s.governor(0).channel()->stats().retransmits, 60u);
+}
+
 }  // namespace
 }  // namespace repchain::sim

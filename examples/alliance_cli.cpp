@@ -44,9 +44,19 @@ namespace {
   std::exit(2);
 }
 
-double parse_double(const char* s) { return std::strtod(s, nullptr); }
-std::size_t parse_size(const char* s) {
-  return static_cast<std::size_t>(std::strtoull(s, nullptr, 10));
+// Numeric flag values must parse whole: an empty value or trailing garbage
+// ("abc", "3x") is a usage error, never a silent zero. Sizes also refuse a
+// sign, which strtoull would otherwise wrap to a huge count.
+bool parse_double(const char* s, double& out) {
+  char* end = nullptr;
+  out = std::strtod(s, &end);
+  return end != s && *end == '\0';
+}
+bool parse_size(const char* s, std::size_t& out) {
+  if (*s == '-' || *s == '+') return false;
+  char* end = nullptr;
+  out = static_cast<std::size_t>(std::strtoull(s, &end, 10));
+  return end != s && *end == '\0';
 }
 
 }  // namespace
@@ -66,39 +76,57 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto size_value = [&](const char* flag) {
+      const char* s = need_value(flag);
+      std::size_t v = 0;
+      if (!parse_size(s, v)) {
+        std::fprintf(stderr, "bad value for %s: '%s'\n", flag, s);
+        usage(argv[0]);
+      }
+      return v;
+    };
+    auto double_value = [&](const char* flag) {
+      const char* s = need_value(flag);
+      double v = 0.0;
+      if (!parse_double(s, v)) {
+        std::fprintf(stderr, "bad value for %s: '%s'\n", flag, s);
+        usage(argv[0]);
+      }
+      return v;
+    };
     const std::string arg = argv[i];
     if (arg == "--providers") {
-      cfg.topology.providers = parse_size(need_value("--providers"));
+      cfg.topology.providers = size_value("--providers");
     } else if (arg == "--collectors") {
-      cfg.topology.collectors = parse_size(need_value("--collectors"));
+      cfg.topology.collectors = size_value("--collectors");
     } else if (arg == "--governors") {
-      cfg.topology.governors = parse_size(need_value("--governors"));
+      cfg.topology.governors = size_value("--governors");
     } else if (arg == "--r") {
-      cfg.topology.r = parse_size(need_value("--r"));
+      cfg.topology.r = size_value("--r");
     } else if (arg == "--rounds") {
-      cfg.rounds = parse_size(need_value("--rounds"));
+      cfg.rounds = size_value("--rounds");
     } else if (arg == "--txs") {
-      cfg.txs_per_provider_per_round = parse_size(need_value("--txs"));
+      cfg.txs_per_provider_per_round = size_value("--txs");
     } else if (arg == "--p-valid") {
-      cfg.p_valid = parse_double(need_value("--p-valid"));
+      cfg.p_valid = double_value("--p-valid");
     } else if (arg == "--f") {
-      cfg.governor.rep.f = parse_double(need_value("--f"));
+      cfg.governor.rep.f = double_value("--f");
     } else if (arg == "--beta") {
-      cfg.governor.rep.beta = parse_double(need_value("--beta"));
+      cfg.governor.rep.beta = double_value("--beta");
     } else if (arg == "--seed") {
-      cfg.seed = parse_size(need_value("--seed"));
+      cfg.seed = size_value("--seed");
     } else if (arg == "--adversaries") {
-      adversaries = parse_size(need_value("--adversaries"));
+      adversaries = size_value("--adversaries");
     } else if (arg == "--concealers") {
-      concealers = parse_size(need_value("--concealers"));
+      concealers = size_value("--concealers");
     } else if (arg == "--forgers") {
-      forgers = parse_size(need_value("--forgers"));
+      forgers = size_value("--forgers");
     } else if (arg == "--equivocators") {
-      equivocators = parse_size(need_value("--equivocators"));
+      equivocators = size_value("--equivocators");
     } else if (arg == "--gossip") {
       cfg.enable_label_gossip = true;
     } else if (arg == "--visibility") {
-      cfg.governor_visibility = parse_double(need_value("--visibility"));
+      cfg.governor_visibility = double_value("--visibility");
     } else if (arg == "--quiet") {
       quiet = true;
     } else {

@@ -170,10 +170,10 @@ FreeRunDriver::FreeRunDriver(sim::ScenarioConfig config,
     const ProviderId id(static_cast<std::uint32_t>(i));
     provider_ctxs_.emplace_back(model_.directory.node_of(id), transport_,
                                 rng_.derive(3000 + i));
+    provider_ctxs_.back().enable_reliable(0);
     providers_.emplace_back(id, provider_ctxs_.back(),
                             std::move(model_.provider_keys[i]), *model_.im,
-                            oracle_, model_.directory, config_.providers_active,
-                            config_.reliable_delivery);
+                            oracle_, model_.directory, config_.providers_active);
     transport_.host(model_.directory.node_of(id),
                     [this, i](const runtime::Message& m) {
                       providers_[i].on_message(m);
@@ -187,10 +187,10 @@ FreeRunDriver::FreeRunDriver(sim::ScenarioConfig config,
             : config_.behaviors[i % config_.behaviors.size()];
     collector_ctxs_.emplace_back(model_.directory.node_of(id), transport_,
                                  rng_.derive(1000 + i));
+    collector_ctxs_.back().enable_reliable(0);
     collectors_.emplace_back(id, collector_ctxs_.back(),
                              std::move(model_.collector_keys[i]), *model_.im,
-                             oracle_, model_.directory, upload_group_, behavior,
-                             config_.reliable_delivery);
+                             oracle_, model_.directory, upload_group_, behavior);
     transport_.host(model_.directory.node_of(id),
                     [this, i](const runtime::Message& m) {
                       collectors_[i].on_message(m);
@@ -198,8 +198,8 @@ FreeRunDriver::FreeRunDriver(sim::ScenarioConfig config,
   }
   // A healed node link refreshes every local channel aimed at it.
   transport_.set_reconnect_hook([this](NodeId peer) {
-    for (auto& p : providers_) p.on_peer_reconnected(peer);
-    for (auto& c : collectors_) c.on_peer_reconnected(peer);
+    for (auto& ctx : provider_ctxs_) ctx.on_peer_reconnect(peer);
+    for (auto& ctx : collector_ctxs_) ctx.on_peer_reconnect(peer);
   });
   for (std::size_t i = 0; i < topo.governors; ++i) {
     transport_.connect(static_cast<std::uint16_t>(opts_.peer_base + i));

@@ -106,11 +106,10 @@ NodeHost::NodeHost(sim::ScenarioConfig config, std::size_t governor_index)
       ctx_(model_.directory.node_of(GovernorId(static_cast<std::uint32_t>(index_))),
            transport_, Rng(config_.seed).derive(2000 + index_), &trace_) {
   const GovernorId id(static_cast<std::uint32_t>(index_));
-  protocol::GovernorConfig gc = config_.governor;
-  gc.channel_epoch = 0;  // first life, as Wiring builds it
+  if (config_.reliable_delivery) ctx_.enable_reliable(0);  // first life, as Wiring
   governor_ = std::make_unique<protocol::Governor>(
       id, ctx_, model_.governor_keys[index_], *model_.im, oracle_,
-      model_.directory, broadcaster_, gc, model_.genesis,
+      model_.directory, broadcaster_, config_.governor, model_.genesis,
       model_.governor_visible[index_]);
 }
 

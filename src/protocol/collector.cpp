@@ -11,7 +11,7 @@ Collector::Collector(CollectorId id, runtime::NodeContext& ctx, crypto::SigningK
                      const identity::IdentityManager& im,
                      ledger::ValidationOracle& oracle, const Directory& directory,
                      runtime::Broadcaster& upload_group,
-                     CollectorBehavior behavior, bool reliable_delivery)
+                     CollectorBehavior behavior)
     : id_(id),
       ctx_(ctx),
       node_(ctx.node()),
@@ -21,19 +21,11 @@ Collector::Collector(CollectorId id, runtime::NodeContext& ctx, crypto::SigningK
       directory_(directory),
       upload_group_(upload_group),
       behavior_(behavior) {
-  if (reliable_delivery) {
-    channel_.emplace(ctx_, /*epoch=*/0);
-    channel_->set_deliver([this](const runtime::Message& m) { on_message(m); });
-  }
+  ctx_.set_deliver([this](const runtime::Message& m) { on_message(m); });
 }
 
 void Collector::on_message(const runtime::Message& msg) {
-  if (msg.kind == runtime::MsgKind::kReliableData ||
-      msg.kind == runtime::MsgKind::kReliableAck) {
-    if (channel_) channel_->on_message(msg);
-    return;
-  }
-  if (msg.kind != runtime::MsgKind::kProviderTx) return;
+  if (ctx_.receive(msg) || msg.kind != runtime::MsgKind::kProviderTx) return;
   ledger::Transaction tx;
   try {
     tx = ledger::Transaction::decode(msg.payload);
@@ -92,25 +84,16 @@ void Collector::on_message(const runtime::Message& msg) {
   }
 }
 
-void Collector::upload_fanout(const Bytes& payload) {
-  if (!channel_) {
-    upload_group_.broadcast(node_, runtime::MsgKind::kCollectorUpload, payload);
-    return;
-  }
-  for (const NodeId gov : directory_.governor_nodes()) {
-    channel_->send(gov, runtime::MsgKind::kCollectorUpload, payload);
-  }
-}
-
 void Collector::upload(const ledger::Transaction& tx, Label label) {
   ++stats_.uploaded;
   if (!behavior_.equivocate) {
     const ledger::LabeledTransaction ltx = ledger::make_labeled(tx, label, id_, key_);
-    upload_fanout(ltx.encode());
+    ctx_.broadcast(upload_group_, runtime::MsgKind::kCollectorUpload, ltx.encode());
     return;
   }
-  // Equivocation: a Byzantine collector bypasses the atomic broadcast and
-  // sends alternating labels to individual governors.
+  // Equivocation: a Byzantine collector bypasses the delivery primitive —
+  // atomic broadcast or reliable channel alike — and sends alternating
+  // labels to individual governors over the bare transport.
   ++stats_.equivocated;
   const auto governors = directory_.governor_nodes();
   for (std::size_t i = 0; i < governors.size(); ++i) {
@@ -136,7 +119,7 @@ void Collector::upload_forgery(ProviderId provider) {
 
   const ledger::LabeledTransaction ltx =
       ledger::make_labeled(fake, Label::kValid, id_, key_);
-  upload_fanout(ltx.encode());
+  ctx_.broadcast(upload_group_, runtime::MsgKind::kCollectorUpload, ltx.encode());
 }
 
 }  // namespace repchain::protocol

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -12,7 +11,6 @@
 #include "protocol/directory.hpp"
 #include "runtime/broadcaster.hpp"
 #include "runtime/node_context.hpp"
-#include "runtime/reliable_channel.hpp"
 
 namespace repchain::protocol {
 
@@ -88,14 +86,10 @@ struct CollectorStats {
 /// Behavioral randomness draws from the NodeContext's per-node rng stream.
 class Collector {
  public:
-  /// `reliable_delivery` routes uploads through a per-node ReliableChannel
-  /// (ack + retransmit) to each governor instead of the atomic broadcast
-  /// group; equivocators keep their bare per-governor sends (a Byzantine
-  /// collector steps outside the delivery primitive either way).
   Collector(CollectorId id, runtime::NodeContext& ctx, crypto::SigningKey key,
             const identity::IdentityManager& im, ledger::ValidationOracle& oracle,
             const Directory& directory, runtime::Broadcaster& upload_group,
-            CollectorBehavior behavior, bool reliable_delivery = false);
+            CollectorBehavior behavior);
 
   /// Network delivery entry point (kProviderTx messages).
   void on_message(const runtime::Message& msg);
@@ -116,22 +110,10 @@ class Collector {
     same_shard_ = std::move(same_shard);
   }
   [[nodiscard]] const CollectorStats& stats() const { return stats_; }
-  [[nodiscard]] const runtime::ReliableChannel* channel() const {
-    return channel_ ? &*channel_ : nullptr;
-  }
-
-  /// Transport reconnect notification: refresh the reliable channel's retry
-  /// budget for `peer` (no-op without a channel).
-  void on_peer_reconnected(NodeId peer) {
-    if (channel_) channel_->on_peer_reconnect(peer);
-  }
 
  private:
   void upload(const ledger::Transaction& tx, ledger::Label label);
   void upload_forgery(ProviderId provider);
-  /// Honest upload fan-out: the broadcast group, or per-governor reliable
-  /// channel sends in reliable mode.
-  void upload_fanout(const Bytes& payload);
 
   CollectorId id_;
   runtime::NodeContext& ctx_;
@@ -144,7 +126,6 @@ class Collector {
   CollectorBehavior behavior_;
   CollectorStats stats_;
   std::function<bool(ProviderId)> same_shard_;  // empty = single committee
-  std::optional<runtime::ReliableChannel> channel_;
   std::uint64_t forge_seq_ = 1'000'000'000;  // distinct seq space for fabrications
 };
 

@@ -25,7 +25,6 @@
 #include "protocol/stake_consensus.hpp"
 #include "runtime/broadcaster.hpp"
 #include "runtime/node_context.hpp"
-#include "runtime/reliable_channel.hpp"
 #include "storage/node_state_store.hpp"
 
 namespace repchain::protocol {
@@ -40,9 +39,9 @@ namespace repchain::protocol {
 /// This class is the facade: message authentication, dispatch, leader
 /// election, timer-driven round phases, and checkpointing.
 ///
-/// The governor sees its host only through runtime::NodeContext (transport,
+/// The governor sees its host only through runtime::NodeContext (delivery,
 /// timers, rng, trace sink) — it runs unchanged under the simulator or any
-/// other runtime.
+/// other runtime, in bare or reliable delivery mode alike.
 class Governor {
  public:
   /// `visible_collectors` empty means the §3.1 default (a governor has
@@ -190,21 +189,12 @@ class Governor {
   unchecked_entries() const {
     return argues_.entries();
   }
-  /// The reliable channel, or nullptr when config.reliable_delivery is off.
-  [[nodiscard]] const runtime::ReliableChannel* channel() const {
-    return channel_ ? &*channel_ : nullptr;
-  }
+  /// The context's reliable channel (for its stats), or nullptr in bare mode.
+  [[nodiscard]] const auto* channel() const { return ctx_.channel(); }
   /// Watchdog surfacing for free-running observers: the round the governor
   /// is currently in and how many consecutive rounds ended without a commit.
   [[nodiscard]] Round current_round() const { return round_; }
   [[nodiscard]] std::size_t stalled_rounds() const { return stalled_rounds_; }
-
-  /// Transport reconnect notification: refresh the reliable channel's retry
-  /// budget for `peer` (no-op without a channel). Wire this to
-  /// TcpTransport::set_reconnect_hook on live deployments.
-  void on_peer_reconnected(NodeId peer) {
-    if (channel_) channel_->on_peer_reconnect(peer);
-  }
 
  private:
   void on_argue(const runtime::Message& msg);
@@ -220,18 +210,16 @@ class Governor {
   void on_block_response(const runtime::Message& msg);
 
   void broadcast_expel(GovernorId accused, Bytes evidence);
+  /// Re-broadcast the held equivocation proof against `offender` at most
+  /// once per round (no-op without one): replicas that crashed past the
+  /// original expel broadcast lost their expelled set and re-learn it here.
+  void reshare_expel_evidence(GovernorId offender);
+  /// Emit kLeaderElected the first time this round's election has a winner.
+  void note_leader_elected();
   void emit(runtime::TraceKind kind, std::uint64_t arg0 = 0, std::uint64_t arg1 = 0);
   /// Emit a kByzantineEvidence trace (and count it in the metrics).
   void emit_byzantine(adversary::ByzantineKind kind, std::uint64_t offender);
 
-  /// Unicast through the reliable channel when one is configured, else the
-  /// bare transport.
-  void rsend(NodeId to, runtime::MsgKind kind, const Bytes& payload);
-  /// Governor-group broadcast: the atomic broadcast group by default; in
-  /// reliable mode, per-peer channel sends plus a synchronous local loopback
-  /// (the channel guarantees delivery, not total order — every reliable-mode
-  /// receive path is order-tolerant).
-  void rbroadcast(runtime::MsgKind kind, const Bytes& payload);
   /// Reliable-mode degraded election closure (majority quorum) at propose
   /// time; no-op otherwise.
   void close_election();
@@ -305,9 +293,6 @@ class Governor {
   // that crashed past the original expel broadcast re-learn the expulsion.
   std::map<GovernorId, Bytes> expel_evidence_;
   Round expel_reshare_round_ = 0;
-
-  // Reliable delivery (config.reliable_delivery).
-  std::optional<runtime::ReliableChannel> channel_;
 
   // Liveness watchdog (config.watchdog_rounds).
   std::size_t stalled_rounds_ = 0;

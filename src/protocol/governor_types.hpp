@@ -34,22 +34,11 @@ struct GovernorConfig {
   /// commit, without snapshotting eagerly on every stake transform. 0 (the
   /// default) keeps the eager behavior: a full snapshot at each commit.
   std::size_t wal_compaction_appends = 0;
-  /// Opt-in reliable delivery: protocol-critical traffic (uploads, governor
-  /// peer messages, block sync) goes through a ReliableChannel
-  /// (ack + retransmit + backoff) instead of the bare transport, and the
-  /// leader election closes on a majority quorum at propose time rather
-  /// than requiring every announcement. Off by default — the clean-network
-  /// golden runs stay bit-identical.
-  bool reliable_delivery = false;
   /// Liveness watchdog: after this many consecutive rounds without a local
   /// commit, the governor emits a kRoundStalled trace and triggers a peer
   /// sync instead of hanging. 0 disables (the default; fault schedules
   /// enable it).
   std::size_t watchdog_rounds = 0;
-  /// ReliableChannel incarnation number; the host increments it across
-  /// crash/restart cycles so peers never mistake the new life's sequence
-  /// space for replays of the old one.
-  std::uint32_t channel_epoch = 0;
   /// Byzantine defenses (this PR's adversary layer): leader-proposal
   /// equivocation detection with a short settle window, sync-response
   /// corroboration against a second peer, and a per-provider serial guard

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <optional>
 #include <unordered_map>
 
 #include "crypto/ed25519.hpp"
@@ -13,7 +12,6 @@
 #include "protocol/round_timing.hpp"
 #include "runtime/atomic_broadcast.hpp"
 #include "runtime/node_context.hpp"
-#include "runtime/reliable_channel.hpp"
 
 namespace repchain::protocol {
 
@@ -24,12 +22,9 @@ namespace repchain::protocol {
 /// Validity).
 class Provider {
  public:
-  /// `reliable_delivery` routes submissions, block requests and argues
-  /// through a per-node ReliableChannel (ack + retransmit) instead of the
-  /// bare transport / collector broadcast group.
   Provider(ProviderId id, runtime::NodeContext& ctx, crypto::SigningKey key,
            const identity::IdentityManager& im, ledger::ValidationOracle& oracle,
-           const Directory& directory, bool active, bool reliable_delivery = false);
+           const Directory& directory, bool active);
 
   /// Collecting phase: create, register, sign and broadcast one transaction.
   /// `truly_valid` is the hidden application-level ground truth.
@@ -84,15 +79,8 @@ class Provider {
   /// Own valid transactions observed in a block with a valid/argued status.
   [[nodiscard]] std::uint64_t confirmed_valid() const { return confirmed_valid_; }
 
-  /// Transport reconnect notification: refresh the reliable channel's retry
-  /// budget for `peer` (no-op without a channel).
-  void on_peer_reconnected(NodeId peer) {
-    if (channel_) channel_->on_peer_reconnect(peer);
-  }
-
  private:
   void request_block(BlockSerial serial);
-  void rsend(NodeId to, runtime::MsgKind kind, const Bytes& payload);
 
   ProviderId id_;
   runtime::NodeContext& ctx_;
@@ -105,8 +93,6 @@ class Provider {
 
   runtime::AtomicBroadcastGroup collector_group_;
   std::vector<NodeId> governor_nodes_;
-
-  std::optional<runtime::ReliableChannel> channel_;
 
   ledger::ChainStore chain_;
   bool sync_in_flight_ = false;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <set>
 #include <unordered_map>
@@ -12,7 +11,7 @@
 #include "protocol/messages.hpp"
 #include "protocol/stake.hpp"
 #include "runtime/broadcaster.hpp"
-#include "runtime/transport.hpp"
+#include "runtime/node_context.hpp"
 
 namespace repchain::protocol {
 
@@ -27,12 +26,12 @@ namespace repchain::protocol {
 /// is passed per call so the state machine is unit-testable round by round.
 class StakeConsensus {
  public:
-  StakeConsensus(GovernorId self, NodeId node, const crypto::SigningKey& key,
-                 const identity::IdentityManager& im, const Directory& directory,
-                 runtime::Transport& transport, runtime::Broadcaster& group,
+  StakeConsensus(GovernorId self, runtime::NodeContext& ctx,
+                 const crypto::SigningKey& key, const identity::IdentityManager& im,
+                 const Directory& directory, runtime::Broadcaster& group,
                  StakeLedger genesis)
-      : self_(self), node_(node), key_(key), im_(im), directory_(directory),
-        transport_(transport), group_(group), stake_(std::move(genesis)) {}
+      : self_(self), ctx_(ctx), key_(key), im_(im), directory_(directory),
+        group_(group), stake_(std::move(genesis)) {}
 
   /// Queue a stake transfer (broadcast to all governors, §3.4.3).
   void submit_transfer(GovernorId to, std::uint64_t amount);
@@ -81,38 +80,12 @@ class StakeConsensus {
   /// Restore path: install a checkpointed ledger.
   void restore_stake(StakeLedger stake) { stake_ = std::move(stake); }
 
-  /// Reliable-delivery mode: route this unit's sends through the facade's
-  /// ReliableChannel instead of the bare transport / broadcast group. The
-  /// broadcast hook must also loop the message back to the local facade.
-  using SendFn = std::function<void(NodeId, runtime::MsgKind, const Bytes&)>;
-  using BroadcastFn = std::function<void(runtime::MsgKind, const Bytes&)>;
-  void set_reliable(SendFn send, BroadcastFn broadcast) {
-    send_ = std::move(send);
-    broadcast_ = std::move(broadcast);
-  }
-
  private:
-  void bcast(runtime::MsgKind kind, const Bytes& payload) {
-    if (broadcast_) {
-      broadcast_(kind, payload);
-    } else {
-      group_.broadcast(node_, kind, payload);
-    }
-  }
-  void unicast(NodeId to, runtime::MsgKind kind, const Bytes& payload) {
-    if (send_) {
-      send_(to, kind, payload);
-    } else {
-      transport_.send(node_, to, kind, payload);
-    }
-  }
-
   GovernorId self_;
-  NodeId node_;
+  runtime::NodeContext& ctx_;
   const crypto::SigningKey& key_;
   const identity::IdentityManager& im_;
   const Directory& directory_;
-  runtime::Transport& transport_;
   runtime::Broadcaster& group_;
 
   StakeLedger stake_;
@@ -133,8 +106,6 @@ class StakeConsensus {
   std::set<GovernorId> sig_senders_;
   Round last_commit_round_ = 0;  // duplicate-commit guard (idempotent receive)
   bool cheat_ = false;
-  SendFn send_;
-  BroadcastFn broadcast_;
 };
 
 }  // namespace repchain::protocol

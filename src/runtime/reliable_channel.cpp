@@ -1,6 +1,7 @@
 #include "runtime/reliable_channel.hpp"
 
 #include "common/serial.hpp"
+#include "runtime/node_context.hpp"
 
 namespace repchain::runtime {
 

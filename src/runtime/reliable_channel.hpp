@@ -8,9 +8,12 @@
 
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
-#include "runtime/node_context.hpp"
+#include "common/sim_time.hpp"
+#include "runtime/message.hpp"
 
 namespace repchain::runtime {
+
+class NodeContext;
 
 /// ReliableChannel tuning. The defaults key the retransmission timeout to
 /// the synchrony bound Delta: one round trip (data + ack) costs at most

@@ -7,9 +7,11 @@ namespace repchain::sim {
 namespace {
 
 // v1 predates sharding; v2 appends shard_count / anchor_interval /
-// cross_shard_probability / bounded_history. The version byte leads the
-// encoding, so v1 and v2 universes can never present the same genesis hash.
-constexpr std::uint8_t kConfigVersion = 2;
+// cross_shard_probability / bounded_history; v3 drops the governor-level
+// reliable_delivery / channel_epoch fields (delivery mode lives on the node
+// context, set from the scenario-level flag). The version byte leads the
+// encoding, so universes of different versions never share a genesis hash.
+constexpr std::uint8_t kConfigVersion = 3;
 
 }  // namespace
 
@@ -51,7 +53,6 @@ void normalize_config(ScenarioConfig& config) {
         "partial governor visibility is not supported with shard_count > 1 "
         "(visibility views are drawn over the global collector set)");
   config.governor.enable_label_gossip |= config.enable_label_gossip;
-  config.governor.reliable_delivery |= config.reliable_delivery;
   // A scheduled adversary switches on the paired defenses: the Byzantine
   // checks (proposal echo + 2Delta hold, sync corroboration, double-spend
   // serial guard) and the label gossip the equivocation detector feeds on.
@@ -87,9 +88,7 @@ Bytes encode_config(const ScenarioConfig& c) {
   w.boolean(c.governor.enable_label_gossip);
   w.u64(c.governor.snapshot_interval);
   w.u64(c.governor.wal_compaction_appends);
-  w.boolean(c.governor.reliable_delivery);
   w.u64(c.governor.watchdog_rounds);
-  w.u32(c.governor.channel_epoch);
   w.boolean(c.governor.byzantine_defense);
   w.u64(c.latency.min_delay);
   w.u64(c.latency.max_delay);
@@ -146,9 +145,7 @@ ScenarioConfig decode_config(BytesView data) {
   c.governor.enable_label_gossip = r.boolean();
   c.governor.snapshot_interval = r.u64();
   c.governor.wal_compaction_appends = r.u64();
-  c.governor.reliable_delivery = r.boolean();
   c.governor.watchdog_rounds = r.u64();
-  c.governor.channel_epoch = r.u32();
   c.governor.byzantine_defense = r.boolean();
   c.latency.min_delay = r.u64();
   c.latency.max_delay = r.u64();

@@ -16,7 +16,7 @@
 namespace repchain::sim {
 
 /// Validate the spec and apply the implied-flag rules in place (idempotent):
-/// scenario-level gossip/reliable mirror into GovernorConfig, a scheduled
+/// scenario-level gossip mirrors into GovernorConfig, a scheduled
 /// adversary switches the paired defenses on, fault schedules default the
 /// liveness watchdog on.
 void normalize_config(ScenarioConfig& config);

@@ -58,10 +58,11 @@ Wiring::Wiring(ScenarioConfig& config, const Rng& rng, runtime::EventLoop& queue
     const ProviderId id(static_cast<std::uint32_t>(i));
     provider_ctxs_.emplace_back(directory_.node_of(id), *transport_,
                                 rng_.derive(3000 + i));
+    if (config_.reliable_delivery) provider_ctxs_.back().enable_reliable(0);
     providers_.emplace_back(id, provider_ctxs_.back(), std::move(provider_keys[i]),
                             *im_, *oracle_,
                             shard_directories_[router_.shard_of(id).value()],
-                            config_.providers_active, config_.reliable_delivery);
+                            config_.providers_active);
     net_->set_handler(directory_.node_of(id), [this, i](const net::Message& m) {
       providers_[i].on_message(m);
     });
@@ -80,11 +81,11 @@ Wiring::Wiring(ScenarioConfig& config, const Rng& rng, runtime::EventLoop& queue
                                  config_.shard_count > 1
                                      ? static_cast<runtime::TraceSink*>(&observer)
                                      : nullptr);
+    if (config_.reliable_delivery) collector_ctxs_.back().enable_reliable(0);
     collector_baselines_.push_back(behavior);
     collectors_.emplace_back(id, collector_ctxs_.back(), std::move(collector_keys[i]),
                              *im_, *oracle_, shard_directories_[shard.value()],
-                             *shard_groups_[shard.value()], behavior,
-                             config_.reliable_delivery);
+                             *shard_groups_[shard.value()], behavior);
     if (config_.shard_count > 1) {
       collectors_.back().set_shard_filter([this, shard](ProviderId p) {
         return router_.shard_of(p) == shard;
@@ -113,6 +114,7 @@ Wiring::Wiring(ScenarioConfig& config, const Rng& rng, runtime::EventLoop& queue
                                 rng_.derive(2000 + i), &observer);
     governors_.emplace_back();
     governor_epochs_.push_back(0);
+    if (config_.reliable_delivery) governor_ctxs_.back().enable_reliable(0);
     if (remote_ == nullptr) make_governor(i);  // remote: slot stays null
     net_->set_handler(directory_.node_of(id), [this, i](const net::Message& m) {
       if (remote_ != nullptr) {
@@ -131,25 +133,26 @@ void Wiring::make_governor(std::size_t i) {
   const ShardId shard = router_.shard_of(id);
   storage::NodeStateStore* store =
       governor_stores_.empty() ? nullptr : governor_stores_[i].get();
-  protocol::GovernorConfig gc = config_.governor;
-  gc.channel_epoch = governor_epochs_[i];
   governors_[i] = std::make_unique<protocol::Governor>(
       id, governor_ctxs_[i], governor_keys_[i], *im_, *oracle_,
-      shard_directories_[shard.value()], *shard_groups_[shard.value()], gc,
-      shard_genesis_[shard.value()], governor_visible_[i], store);
+      shard_directories_[shard.value()], *shard_groups_[shard.value()],
+      config_.governor, shard_genesis_[shard.value()], governor_visible_[i], store);
   if (governor_byz_[i].any()) governors_[i]->set_byzantine(governor_byz_[i]);
 }
 
 void Wiring::crash_governor(std::size_t i) {
-  // Kill -9 equivalent: pending timer callbacks become no-ops, the object
-  // (and with it every byte of in-memory state) is destroyed. The store —
+  // Kill -9 equivalent: pending timer callbacks become no-ops, the channel
+  // state and the deliver callback into the governor are dropped, and the
+  // object (with every byte of in-memory state) is destroyed. The store —
   // owned here, like a disk outlives a process — stays.
-  governor_ctxs_[i].revoke_timers();
+  governor_ctxs_[i].crash();
   governors_[i].reset();
 }
 
 void Wiring::restart_governor(std::size_t i) {
-  ++governor_epochs_[i];  // fresh ReliableChannel incarnation
+  // Fresh channel incarnation: the new life's sequence space is distinct.
+  ++governor_epochs_[i];
+  if (config_.reliable_delivery) governor_ctxs_[i].enable_reliable(governor_epochs_[i]);
   make_governor(i);
   governors_[i]->recover_from_store();
   governors_[i]->sync_chain();

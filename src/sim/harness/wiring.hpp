@@ -60,9 +60,10 @@ struct Wiring {
 
   /// (Re)construct governor i in its slot from the retained rebuild material.
   void make_governor(std::size_t i);
-  /// Kill governor `i` right now: revoke its pending timer callbacks and
-  /// destroy the object (all in-memory state is gone; its NodeStateStore,
-  /// held here, survives). Messages to the dead node are dropped.
+  /// Kill governor `i` right now: revoke its pending timer callbacks, drop
+  /// its context's channel state and deliver callback, and destroy the
+  /// object (all in-memory state is gone; its NodeStateStore, held here,
+  /// survives). Messages to the dead node are dropped.
   void crash_governor(std::size_t i);
   /// Rebuild governor `i` from its store and start catching up with peers.
   void restart_governor(std::size_t i);
@@ -115,8 +116,8 @@ struct Wiring {
   protocol::StakeLedger genesis_;
   std::vector<std::vector<CollectorId>> governor_visible_;
   std::deque<std::unique_ptr<storage::NodeStateStore>> governor_stores_;
-  // ReliableChannel incarnation per governor, bumped on every restart so the
-  // new life's sequence space is distinct from the old one.
+  // Reliable-delivery incarnation (channel epoch) per governor, bumped on
+  // every restart so the new life's sequence space is distinct from the old.
   std::vector<std::uint32_t> governor_epochs_;
   // Current adversary toggles per governor (re-applied by make_governor so a
   // Byzantine governor stays Byzantine across a crash/restart) and the

@@ -225,8 +225,9 @@ struct StakeFixture : ::testing::Test {
     genesis.set(GovernorId(1), 1);
     group = std::make_unique<runtime::AtomicBroadcastGroup>(
         net, std::vector<NodeId>{n0});
-    sc = std::make_unique<StakeConsensus>(GovernorId(0), n0, key, im, directory,
-                                          net, *group, genesis);
+    ctx = std::make_unique<runtime::NodeContext>(n0, net, Rng(33));
+    sc = std::make_unique<StakeConsensus>(GovernorId(0), *ctx, key, im, directory,
+                                          *group, genesis);
   }
 
   Rng rng{31};
@@ -238,6 +239,7 @@ struct StakeFixture : ::testing::Test {
   crypto::SigningKey key{crypto::random_seed(rng)};
   StakeLedger genesis;
   std::unique_ptr<runtime::AtomicBroadcastGroup> group;
+  std::unique_ptr<runtime::NodeContext> ctx;
   std::unique_ptr<StakeConsensus> sc;
 };
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -9,19 +8,13 @@
 
 namespace repchain::crypto {
 
-/// One signature in a batch.
+/// One signature in a batch. The key is held decoded (a PublicKey converts
+/// implicitly, decoding once).
 struct BatchItem {
-  PublicKey pub;
+  VerifyingKey pub;
   Bytes message;
   Signature sig;
 };
-
-/// Sum of [s_i]P_i with a single shared doubling chain (interleaved
-/// Strauss, 4-bit windows). For n points this costs ~252 doublings +
-/// n*(14 table + <=64 window) additions, versus n*256 doublings for
-/// independent ladders; 128-bit scalars skip their zero windows for free.
-[[nodiscard]] Point point_multi_scalar_mul(
-    std::span<const std::pair<Scalar, Point>> terms);
 
 /// Batch signature verification with random linear combination:
 ///
@@ -32,6 +25,12 @@ struct BatchItem {
 /// true iff every signature in the batch is valid; on false the caller
 /// falls back to per-signature verification to locate offenders (see
 /// verify_batch_detailed).
+///
+/// The check is one point_multi_scalar_mul over 2n variable terms plus B:
+/// the ~253 doublings are shared by the whole batch, each R_i term adds
+/// ~21 additions (128-bit z_i) and each A_i term ~42, on top of 8 table
+/// points per term. Each item still pays one decompression (R_i); keys come
+/// decoded. Per signature this undercuts verify() from two items on.
 ///
 /// This accelerates bulk ingestion paths (a governor verifying a round's
 /// uploads); correctness-critical single checks keep using verify().

@@ -2,45 +2,9 @@
 
 namespace repchain::crypto {
 
-namespace {
-using u64 = std::uint64_t;
-using u128 = unsigned __int128;
-
-constexpr u64 kMask51 = (u64{1} << 51) - 1;
-
-// 2p in radix-2^51 (used to keep subtraction non-negative).
-constexpr u64 kTwoP0 = 0x0fffffffffffdaULL;  // 2*(2^51 - 19)
-constexpr u64 kTwoP1234 = 0x0ffffffffffffeULL;  // 2*(2^51 - 1)
-
-// Propagate carries so every limb fits in 51 bits (+ tiny excess in limb 0
-// from the *19 wrap, resolved by a second pass where needed).
-Fe carry(const Fe& in) {
-  Fe f = in;
-  u64 c;
-  c = f.v[0] >> 51; f.v[0] &= kMask51; f.v[1] += c;
-  c = f.v[1] >> 51; f.v[1] &= kMask51; f.v[2] += c;
-  c = f.v[2] >> 51; f.v[2] &= kMask51; f.v[3] += c;
-  c = f.v[3] >> 51; f.v[3] &= kMask51; f.v[4] += c;
-  c = f.v[4] >> 51; f.v[4] &= kMask51; f.v[0] += c * 19;
-  c = f.v[0] >> 51; f.v[0] &= kMask51; f.v[1] += c;
-  return f;
-}
-}  // namespace
-
-Fe fe_zero() { return Fe{}; }
-
-Fe fe_one() {
-  Fe f;
-  f.v[0] = 1;
-  return f;
-}
-
-Fe fe_from_u64(u64 x) {
-  Fe f;
-  f.v[0] = x & kMask51;
-  f.v[1] = x >> 51;
-  return f;
-}
+using fe_detail::carry;
+using fe_detail::kMask51;
+using fe_detail::u64;
 
 Fe fe_from_bytes(const ByteArray<32>& in) {
   auto load64 = [&](int i) {
@@ -82,88 +46,6 @@ ByteArray<32> fe_to_bytes(const Fe& in) {
   return out;
 }
 
-Fe fe_add(const Fe& a, const Fe& b) {
-  Fe f;
-  for (int i = 0; i < 5; ++i) f.v[i] = a.v[i] + b.v[i];
-  return carry(f);
-}
-
-Fe fe_sub(const Fe& a, const Fe& b) {
-  Fe f;
-  f.v[0] = a.v[0] + kTwoP0 - b.v[0];
-  for (int i = 1; i < 5; ++i) f.v[i] = a.v[i] + kTwoP1234 - b.v[i];
-  return carry(f);
-}
-
-Fe fe_neg(const Fe& a) { return fe_sub(fe_zero(), a); }
-
-Fe fe_mul(const Fe& a, const Fe& b) {
-  const u64 a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3], a4 = a.v[4];
-  const u64 b0 = b.v[0], b1 = b.v[1], b2 = b.v[2], b3 = b.v[3], b4 = b.v[4];
-  const u64 b1_19 = b1 * 19, b2_19 = b2 * 19, b3_19 = b3 * 19, b4_19 = b4 * 19;
-
-  u128 t0 = (u128)a0 * b0 + (u128)a1 * b4_19 + (u128)a2 * b3_19 + (u128)a3 * b2_19 +
-            (u128)a4 * b1_19;
-  u128 t1 = (u128)a0 * b1 + (u128)a1 * b0 + (u128)a2 * b4_19 + (u128)a3 * b3_19 +
-            (u128)a4 * b2_19;
-  u128 t2 = (u128)a0 * b2 + (u128)a1 * b1 + (u128)a2 * b0 + (u128)a3 * b4_19 +
-            (u128)a4 * b3_19;
-  u128 t3 = (u128)a0 * b3 + (u128)a1 * b2 + (u128)a2 * b1 + (u128)a3 * b0 +
-            (u128)a4 * b4_19;
-  u128 t4 = (u128)a0 * b4 + (u128)a1 * b3 + (u128)a2 * b2 + (u128)a3 * b1 +
-            (u128)a4 * b0;
-
-  Fe f;
-  u64 c;
-  c = static_cast<u64>(t0 >> 51); f.v[0] = static_cast<u64>(t0) & kMask51; t1 += c;
-  c = static_cast<u64>(t1 >> 51); f.v[1] = static_cast<u64>(t1) & kMask51; t2 += c;
-  c = static_cast<u64>(t2 >> 51); f.v[2] = static_cast<u64>(t2) & kMask51; t3 += c;
-  c = static_cast<u64>(t3 >> 51); f.v[3] = static_cast<u64>(t3) & kMask51; t4 += c;
-  c = static_cast<u64>(t4 >> 51); f.v[4] = static_cast<u64>(t4) & kMask51;
-  f.v[0] += c * 19;
-  c = f.v[0] >> 51; f.v[0] &= kMask51; f.v[1] += c;
-  return f;
-}
-
-Fe fe_sq(const Fe& a) { return fe_mul(a, a); }
-
-Fe fe_pow(const Fe& a, const ByteArray<32>& exponent_le) {
-  Fe result = fe_one();
-  bool started = false;
-  for (int byte = 31; byte >= 0; --byte) {
-    for (int bit = 7; bit >= 0; --bit) {
-      if (started) result = fe_sq(result);
-      if ((exponent_le[byte] >> bit) & 1) {
-        result = fe_mul(result, a);
-        started = true;
-      }
-    }
-  }
-  return result;
-}
-
-namespace {
-ByteArray<32> exponent_all_ff(std::uint8_t low, std::uint8_t high) {
-  ByteArray<32> e{};
-  e[0] = low;
-  for (int i = 1; i < 31; ++i) e[i] = 0xff;
-  e[31] = high;
-  return e;
-}
-}  // namespace
-
-Fe fe_invert(const Fe& a) {
-  // p - 2 = 2^255 - 21.
-  static const ByteArray<32> kExp = exponent_all_ff(0xeb, 0x7f);
-  return fe_pow(a, kExp);
-}
-
-Fe fe_pow22523(const Fe& a) {
-  // (p - 5) / 8 = 2^252 - 3.
-  static const ByteArray<32> kExp = exponent_all_ff(0xfd, 0x0f);
-  return fe_pow(a, kExp);
-}
-
 bool fe_equal(const Fe& a, const Fe& b) {
   const auto ea = fe_to_bytes(a);
   const auto eb = fe_to_bytes(b);
@@ -173,24 +55,5 @@ bool fe_equal(const Fe& a, const Fe& b) {
 bool fe_is_zero(const Fe& a) { return fe_equal(a, fe_zero()); }
 
 bool fe_is_negative(const Fe& a) { return (fe_to_bytes(a)[0] & 1) != 0; }
-
-const Fe& fe_sqrtm1() {
-  // 2 is a quadratic non-residue mod p (p = 5 mod 8), so 2^((p-1)/4) squares
-  // to -1. (p - 1) / 4 = 2^253 - 5.
-  static const Fe kSqrtM1 = [] {
-    const ByteArray<32> exp = exponent_all_ff(0xfb, 0x1f);
-    return fe_pow(fe_from_u64(2), exp);
-  }();
-  return kSqrtM1;
-}
-
-const Fe& fe_edwards_d() {
-  static const Fe kD = [] {
-    const Fe num = fe_neg(fe_from_u64(121665));
-    const Fe den = fe_from_u64(121666);
-    return fe_mul(num, fe_invert(den));
-  }();
-  return kD;
-}
 
 }  // namespace repchain::crypto

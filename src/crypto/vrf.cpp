@@ -19,7 +19,7 @@ VrfResult vrf_evaluate(const SigningKey& key, BytesView alpha) {
   return r;
 }
 
-std::optional<Hash512> vrf_verify(const PublicKey& pub, BytesView alpha,
+std::optional<Hash512> vrf_verify(const VerifyingKey& pub, BytesView alpha,
                                   const Signature& proof) {
   if (!verify(pub, alpha, proof)) return std::nullopt;
   return output_from_proof(proof);

@@ -30,7 +30,7 @@ struct VrfResult {
 [[nodiscard]] VrfResult vrf_evaluate(const SigningKey& key, BytesView alpha);
 
 /// Verify a proof for alpha under pub; returns the output iff valid.
-[[nodiscard]] std::optional<Hash512> vrf_verify(const PublicKey& pub, BytesView alpha,
+[[nodiscard]] std::optional<Hash512> vrf_verify(const VerifyingKey& pub, BytesView alpha,
                                                 const Signature& proof);
 
 /// First 8 bytes of the VRF output as a big-endian integer — the "hash value"

@@ -51,8 +51,12 @@ class IdentityManager {
   /// item, collect the surviving (key, message, sig) triples into one
   /// crypto::verify_batch call, and so decide exactly what the per-item
   /// authenticate/authorize calls would have decided.
-  [[nodiscard]] const crypto::PublicKey* verification_key(
+  [[nodiscard]] const crypto::VerifyingKey* verification_key(
       NodeId node, std::optional<Role> required_role = std::nullopt) const;
+
+  /// `node`'s enrolled key, revoked or not. Throws ConfigError for unknown
+  /// nodes.
+  [[nodiscard]] const crypto::VerifyingKey& enrolled_key(NodeId node) const;
 
   void revoke(NodeId node);
   [[nodiscard]] bool is_revoked(NodeId node) const;
@@ -60,8 +64,19 @@ class IdentityManager {
   [[nodiscard]] std::size_t member_count() const { return certs_.size(); }
 
  private:
+  /// A certificate with its public key decoded once, at enrolment. Keys are
+  /// fixed for the life of a permissioned deployment, so no verify pays the
+  /// decompression again. An off-curve key is still enrolled; it verifies
+  /// nothing.
+  struct Member {
+    Certificate cert;
+    crypto::VerifyingKey key;
+  };
+
+  [[nodiscard]] const Member& member(NodeId node) const;
+
   crypto::SigningKey ca_key_;
-  std::unordered_map<NodeId, Certificate> certs_;
+  std::unordered_map<NodeId, Member> certs_;
   std::unordered_set<NodeId> revoked_;
   std::uint64_t next_serial_ = 1;
 };

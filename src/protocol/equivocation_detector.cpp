@@ -80,12 +80,7 @@ void EquivocationDetector::on_gossip_payload(BytesView payload) {
 void EquivocationDetector::on_gossip(
     const std::vector<ledger::LabeledTransaction>& ltxs) {
   for (const auto& remote : ltxs) {
-    // Only a genuinely signed remote label is evidence.
     const NodeId collector_node = directory_.node_of(remote.collector);
-    if (!im_.authorize(collector_node, identity::Role::kCollector,
-                       remote.signed_preimage(), remote.collector_sig)) {
-      continue;
-    }
     const ledger::LabeledTransaction* local = nullptr;
     for (const LabelGen* gen : {&seen_labels_, &seen_labels_prev_}) {
       const auto tit = gen->find(remote.tx.id());
@@ -97,6 +92,16 @@ void EquivocationDetector::on_gossip(
       }
     }
     if (local == nullptr || local->label == remote.label) continue;
+
+    // Only a genuinely signed remote label is evidence. The signature is
+    // checked here, after the conflict filter: a label that agrees with ours
+    // (or that we never saw) is dropped whether or not it is genuine, so
+    // verifying it first would only cost a signature check per gossiped
+    // label.
+    if (!im_.authorize(collector_node, identity::Role::kCollector,
+                       remote.signed_preimage(), remote.collector_sig)) {
+      continue;
+    }
 
     // Two valid signatures by the same collector over conflicting labels for
     // one transaction: a self-contained equivocation proof.

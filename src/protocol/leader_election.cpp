@@ -22,7 +22,7 @@ bool ElectionState::add_announcement(const VrfAnnounceMsg& msg,
   // Verify every ticket's VRF proof against the governor's enrolled key.
   const auto role = im.role_of(sender_node);
   if (!role || *role != identity::Role::kGovernor) return false;
-  const auto& pub = im.certificate(sender_node).public_key;
+  const crypto::VerifyingKey& pub = im.enrolled_key(sender_node);
 
   std::vector<std::pair<std::uint64_t, std::uint32_t>> hashes;
   hashes.reserve(msg.tickets.size());

@@ -50,7 +50,7 @@ void ScreeningIntake::on_upload(const runtime::Message& msg) {
   // gates mirror authorize/authenticate exactly, so the verdicts are what
   // the single-verify path would have produced.
   PendingUpload pu;
-  const crypto::PublicKey* collector_key =
+  const crypto::VerifyingKey* collector_key =
       im_.verification_key(collector_node, identity::Role::kCollector);
   pu.collector_check = (collector_key != nullptr)
                            ? batch_.add(*collector_key, ltx.signed_preimage(),
@@ -61,7 +61,7 @@ void ScreeningIntake::on_upload(const runtime::Message& msg) {
   pu.provider_known = directory_.linked(ltx.tx.provider, ltx.collector);
   if (pu.provider_known) {
     const NodeId provider_node = directory_.node_of(ltx.tx.provider);
-    const crypto::PublicKey* provider_key = im_.verification_key(provider_node);
+    const crypto::VerifyingKey* provider_key = im_.verification_key(provider_node);
     if (provider_key == nullptr) {
       pu.provider_check = batch_.add_decided(false);
     } else {

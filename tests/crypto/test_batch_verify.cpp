@@ -4,6 +4,7 @@
 
 #include "common/rng.hpp"
 #include "crypto/keygen.hpp"
+#include "reference_ops.hpp"
 
 namespace repchain::crypto {
 namespace {
@@ -129,7 +130,7 @@ TEST(MultiScalarMul, MatchesIndependentLadders) {
     pk[0] = static_cast<std::uint8_t>(i + 2);
     const Point p = point_base_mul(sc_from_bytes(pk));
     terms.emplace_back(s, p);
-    expected = point_add(expected, point_scalar_mul(p, s));
+    expected = point_add(expected, reference::scalar_mul(p, s));
   }
   EXPECT_TRUE(point_equal(point_multi_scalar_mul(terms), expected));
 }

@@ -199,6 +199,21 @@ TEST_F(DetectorEdgeFixture, GossipWithInvalidCollectorSignatureIgnored) {
   EXPECT_EQ(evidence_fired, 0);
 }
 
+TEST_F(DetectorEdgeFixture, ConflictingGossipFromRevokedCollectorNotPunished) {
+  // The authorization gate runs after the conflict filter; a genuinely
+  // signed conflicting label from a collector revoked since still fails it.
+  const auto tx = make_tx(1);
+  detector.note_label(
+      tx.id(), ledger::make_labeled(tx, ledger::Label::kValid, CollectorId(0),
+                                    collector_key));
+  im.revoke(NodeId(0));
+  detector.on_gossip({ledger::make_labeled(tx, ledger::Label::kInvalid, CollectorId(0),
+                                           collector_key)});
+  EXPECT_EQ(metrics.equivocations_detected, 0u);
+  EXPECT_EQ(table.forge(CollectorId(0)), 0);
+  EXPECT_EQ(evidence_fired, 0);
+}
+
 TEST_F(DetectorEdgeFixture, TruncatedGossipPayloadIgnoredEvenWithValidPrefix) {
   // A payload that decodes some entries and then runs out of bytes must be
   // dropped whole — partially-applied gossip would make replicas diverge on

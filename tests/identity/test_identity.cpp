@@ -148,6 +148,45 @@ TEST(IdentityManager, RevocationBlocksAuthentication) {
   EXPECT_FALSE(f.im.verify_certificate(cert));
 }
 
+TEST(IdentityManager, OffCurveKeyEnrollsButVerifiesNothing) {
+  // y = 2 has no x on the curve: the key is enrolled (and certified) as
+  // given, and every signature check against it fails.
+  Fixture f;
+  crypto::PublicKey off_curve;
+  off_curve.bytes[0] = 2;
+  ASSERT_FALSE(crypto::point_decompress(off_curve.bytes).has_value());
+  const Certificate cert = f.im.enroll(NodeId(4), Role::kProvider, off_curve);
+  EXPECT_TRUE(f.im.verify_certificate(cert));
+  const crypto::VerifyingKey* key = f.im.verification_key(NodeId(4));
+  ASSERT_NE(key, nullptr);
+  EXPECT_EQ(key->encoded(), off_curve);
+  EXPECT_FALSE(key->point().has_value());
+
+  const auto signer = f.new_key();
+  const Bytes msg = to_bytes("m");
+  const crypto::Signature sig = signer.sign(msg);
+  EXPECT_FALSE(f.im.authenticate(NodeId(4), msg, sig));
+  EXPECT_FALSE(crypto::verify(*key, msg, sig));
+}
+
+TEST(IdentityManager, VerificationKeyIsDecodedEnrolledKey) {
+  Fixture f;
+  const auto key = f.new_key();
+  f.im.enroll(NodeId(3), Role::kGovernor, key.public_key());
+  const crypto::VerifyingKey* vk = f.im.verification_key(NodeId(3), Role::kGovernor);
+  ASSERT_NE(vk, nullptr);
+  EXPECT_EQ(vk->encoded(), key.public_key());
+  ASSERT_TRUE(vk->point().has_value());
+  EXPECT_EQ(crypto::point_compress(*vk->point()), key.public_key().bytes);
+  EXPECT_EQ(&f.im.enrolled_key(NodeId(3)), vk);
+  const Bytes msg = to_bytes("m");
+  EXPECT_TRUE(crypto::verify(*vk, msg, key.sign(msg)));
+
+  f.im.revoke(NodeId(3));
+  EXPECT_EQ(f.im.verification_key(NodeId(3)), nullptr);
+  EXPECT_EQ(f.im.enrolled_key(NodeId(3)).encoded(), key.public_key());
+}
+
 TEST(IdentityManager, SerialsAreUnique) {
   Fixture f;
   const Certificate a = f.im.enroll(NodeId(1), Role::kProvider, f.new_key().public_key());

@@ -33,6 +33,7 @@ Sha256::Sha256() {
 }
 
 Sha256& Sha256::update(BytesView data) {
+  if (data.empty()) return *this;  // data() may be null: no memcpy from it
   total_len_ += data.size();
   std::size_t off = 0;
   if (buffer_len_ > 0) {

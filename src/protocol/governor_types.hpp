@@ -48,7 +48,7 @@ struct GovernorConfig {
   bool byzantine_defense = false;
   /// Batched intake verification: collector uploads landing at one instant
   /// are settled through a single crypto::verify_batch call (same-instant
-  /// flush timer + VerifiedBatch) instead of per-upload Strauss ladders.
+  /// flush timer + VerifiedBatch) instead of one verify per signature.
   /// Outcome-identical to the single-verify path — the off switch exists
   /// only so equivalence tests can run both paths side by side.
   bool batch_verify_intake = true;

@@ -29,7 +29,7 @@ struct DecodedItem {
 
 /// Shared per-item parsing for batch verification. Returns false on any
 /// malformed item (non-canonical S, off-curve or non-canonical R, off-curve
-/// A).
+/// or small-order A).
 bool decode_item(const BatchItem& item, DecodedItem& out) {
   if (!item.pub.point()) return false;
   ByteArray<32> r_enc{}, s_enc{};
@@ -71,7 +71,9 @@ bool verify_batch(std::span<const BatchItem> items, Rng& rng) {
     terms.emplace_back(sc_muladd(z, d.k, sc_zero()), point_neg(*item.pub.point()));
   }
 
-  return point_is_identity(point_multi_scalar_mul(terms, b_coeff));
+  // Cofactored, like verify(): small-order components cancel under [8]
+  // whatever the z_i, so the batch accepts exactly what verify() accepts.
+  return point_is_identity(point_mul_by_cofactor(point_multi_scalar_mul(terms, b_coeff)));
 }
 
 std::vector<bool> verify_batch_detailed(std::span<const BatchItem> items, Rng& rng) {

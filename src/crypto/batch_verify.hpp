@@ -18,10 +18,13 @@ struct BatchItem {
 
 /// Batch signature verification with random linear combination:
 ///
-///   (sum_i z_i S_i) B  ==  sum_i z_i R_i  +  sum_i z_i k_i A_i
+///   [8]((sum_i z_i S_i) B  -  sum_i z_i R_i  -  sum_i z_i k_i A_i)  ==  O
 ///
 /// with fresh random 128-bit coefficients z_i, so corrupted signatures
-/// cannot cancel each other out except with negligible probability. Returns
+/// cannot cancel each other out except with negligible probability. The
+/// factor 8 makes it the batch form of verify()'s cofactored equation: a
+/// small-order component in some R_i vanishes whatever its z_i, so the batch
+/// and per-item verdicts agree even on adversarial signatures. Returns
 /// true iff every signature in the batch is valid; on false the caller
 /// falls back to per-signature verification to locate offenders (see
 /// verify_batch_detailed).

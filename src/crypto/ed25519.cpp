@@ -313,6 +313,12 @@ Point point_double_scalar_mul(const Scalar& a, const Point& p, const Scalar& b) 
   return point_multi_scalar_mul({&term, 1}, b);
 }
 
+Point point_mul_by_cofactor(const Point& p) {
+  P1P1 r = dbl(p3_to_p2(p));
+  r = dbl(to_p2(r));
+  return to_p3(dbl(to_p2(r)));
+}
+
 bool point_equal(const Point& p, const Point& q) {
   // x1/z1 == x2/z2  <=>  x1*z2 == x2*z1, same for y.
   const Fe lx = fe_mul(p.X, q.Z);
@@ -420,7 +426,9 @@ Signature SigningKey::sign(BytesView message) const {
 }
 
 VerifyingKey::VerifyingKey(const PublicKey& pub)
-    : encoded_(pub), point_(point_decompress(pub.bytes)) {}
+    : encoded_(pub), point_(point_decompress(pub.bytes)) {
+  if (point_ && point_is_identity(point_mul_by_cofactor(*point_))) point_.reset();
+}
 
 bool verify(const VerifyingKey& key, BytesView message, const Signature& sig) {
   if (!key.point()) return false;
@@ -436,10 +444,10 @@ bool verify(const VerifyingKey& key, BytesView message, const Signature& sig) {
 
   const Scalar k = challenge(r_enc, key.encoded(), message);
 
-  // Check [S]B == R + [k]A, rearranged as [k](-A) + [S]B == R so one
-  // interleaved double-scalar multiplication covers both.
+  // Check [8]([k](-A) + [S]B - R) == O: one interleaved double-scalar
+  // multiplication, one addition and three doublings.
   const Point lhs = point_double_scalar_mul(k, point_neg(*key.point()), s);
-  return point_equal(lhs, *r);
+  return point_is_identity(point_mul_by_cofactor(point_add(lhs, point_neg(*r))));
 }
 
 bool verify(const PublicKey& pub, BytesView message, const Signature& sig) {

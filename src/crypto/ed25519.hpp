@@ -45,6 +45,10 @@ struct Point {
 [[nodiscard]] Point point_double_scalar_mul(const Scalar& a, const Point& p,
                                             const Scalar& b);
 
+/// [8]P, the cofactor multiple: three doublings. Identity exactly when P
+/// has small order (1, 2, 4 or 8).
+[[nodiscard]] Point point_mul_by_cofactor(const Point& p);
+
 /// Projective equality (x1 == x2 and y1 == y2 as affine points).
 [[nodiscard]] bool point_equal(const Point& p, const Point& q);
 [[nodiscard]] bool point_is_identity(const Point& p);
@@ -92,7 +96,9 @@ class SigningKey {
 /// A public key decoded once: the encoding plus its curve point. Decoding
 /// costs a square root, so a permissioned deployment decodes each enrolled
 /// key at enrolment (identity::IdentityManager) instead of on every verify.
-/// An encoding that is not a curve point yields a key that verifies nothing.
+/// An encoding that is not a curve point, or that names a small-order point
+/// (three doublings reach the identity), yields a key that verifies nothing:
+/// under the cofactored equation such a key would accept any message.
 class VerifyingKey {
  public:
   VerifyingKey() = default;
@@ -101,7 +107,8 @@ class VerifyingKey {
   VerifyingKey(const PublicKey& pub);
 
   [[nodiscard]] const PublicKey& encoded() const { return encoded_; }
-  /// The decoded point A, or nullopt for an off-curve encoding.
+  /// The decoded point A, or nullopt for an off-curve or small-order
+  /// encoding.
   [[nodiscard]] const std::optional<Point>& point() const { return point_; }
 
  private:
@@ -111,7 +118,9 @@ class VerifyingKey {
 
 /// Verify an Ed25519 signature. Returns false (never throws) on any
 /// malformed input: non-canonical S, off-curve or non-canonical R, off-curve
-/// A. The equation is the cofactorless [S]B == R + [k]A.
+/// or small-order A. The equation is the cofactored [8]([S]B - [k]A - R) == O
+/// (RFC 8032 §5.1.7), the one verify_batch checks too, so a small-order
+/// component in R gets the same verdict from both paths.
 [[nodiscard]] bool verify(const VerifyingKey& key, BytesView message, const Signature& sig);
 
 /// Decode-then-verify for keys that are not held decoded (the CA key, light

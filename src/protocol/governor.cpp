@@ -32,10 +32,23 @@ Governor::Governor(GovernorId id, runtime::NodeContext& ctx, crypto::SigningKey 
               // Private coefficient stream for batched signature checks:
               // derive() is const, so the behavioral stream sees no draws.
               ctx.rng().derive(0x62766B26696E74ULL /* "bvk&int" */)),
+      sync_(ctx_, chain_, im_, directory_, metrics_, config_, peers_,
+            {[this](const ledger::Block& b, bool via_sync) {
+               return commit_block(b, via_sync);
+             },
+             [this](const ledger::Block& b) { broadcast_expel(b.leader, b.encode()); },
+             // A concluded pass confirmed the head: lift the hold-down, and
+             // let further commit-free rounds not re-trigger it.
+             [this] {
+               recovering_ = false;
+               head_checked_ = true;
+             },
+             [this] { return recovering_; },
+             [this](adversary::ByzantineKind k, std::uint64_t o) { emit_byzantine(k, o); }}),
       store_(store) {
   config_.rep.validate();
   for (const NodeId n : directory_.governor_nodes()) {
-    if (n != node_) sync_peers_.push_back(n);
+    if (n != node_) peers_.push_back(n);
   }
   // The governor connects with all collectors (§3.1 default) — or with its
   // partial view — and mirrors the provider-collector link structure into
@@ -106,7 +119,7 @@ void Governor::on_message(const runtime::Message& msg) {
       on_block_request(msg);
       break;
     case runtime::MsgKind::kBlockResponse:
-      on_block_response(msg);
+      sync_.on_block_response(msg);
       break;
     default:
       break;
@@ -225,7 +238,7 @@ void Governor::begin_round(Round round) {
   // proposals) but does not announce: winning an election with a stale chain
   // would make it propose — and self-commit — a forked block.
   if (recovering_) {
-    sync_chain();
+    sync_.start();
     return;
   }
   const VrfAnnounceMsg msg =
@@ -270,7 +283,7 @@ void Governor::on_vrf(const runtime::Message& msg) {
   // and the first-seen gate stops re-echo storms.
   if (fresh && ctx_.reliable() && announce.governor != id_) {
     const NodeId origin = directory_.node_of(announce.governor);
-    for (const NodeId peer : sync_peers_) {
+    for (const NodeId peer : peers_) {
       if (peer == origin || peer == msg.from) continue;
       ctx_.send(peer, runtime::MsgKind::kVrfAnnounce, msg.payload);
     }
@@ -313,7 +326,7 @@ void Governor::watchdog_check() {
   // adopt peers' blocks. The next begin_round re-arms the election anyway.
   ++metrics_.watchdog_trips;
   emit(runtime::TraceKind::kRoundStalled, stalled_rounds_);
-  sync_chain();
+  sync_.start();
 }
 
 void Governor::propose_if_leader() {
@@ -333,9 +346,9 @@ void Governor::propose_if_leader() {
                                                  std::move(txs_b), key_);
     const Bytes enc_a = block.encode();
     const Bytes enc_b = alt.encode();
-    for (std::size_t i = 0; i < sync_peers_.size(); ++i) {
-      ctx_.send(sync_peers_[i], runtime::MsgKind::kBlockProposal,
-                i < sync_peers_.size() / 2 ? enc_a : enc_b);
+    for (std::size_t i = 0; i < peers_.size(); ++i) {
+      ctx_.send(peers_[i], runtime::MsgKind::kBlockProposal,
+                i < peers_.size() / 2 ? enc_a : enc_b);
     }
     ++metrics_.byzantine_equivocations_sent;
     ctx_.loopback(runtime::MsgKind::kBlockProposal, enc_a);
@@ -375,7 +388,7 @@ void Governor::on_block_proposal(const runtime::Message& msg) {
     // sends each variant to a disjoint peer subset, so without the echo no
     // single governor ever holds both signatures.
     const NodeId leader_node = directory_.node_of(block.leader);
-    for (const NodeId peer : sync_peers_) {
+    for (const NodeId peer : peers_) {
       if (peer == leader_node || peer == msg.from) continue;
       ctx_.send(peer, runtime::MsgKind::kBlockProposal, msg.payload);
     }
@@ -434,10 +447,9 @@ void Governor::adopt_proposal(ledger::Block block) {
   if (block.serial > expected) {
     // A gap below an authenticated current-leader proposal means *we* are
     // behind (e.g. freshly restarted), not that the leader misbehaved. Stash
-    // the proposal and fetch the missing prefix from peers; finish_sync
+    // the proposal and fetch the missing prefix from peers; the sync
     // rejects it if the gap cannot be filled.
-    future_blocks_.emplace(block.serial, std::move(block));
-    sync_chain();
+    sync_.stash(std::move(block));
     return;
   }
   if (block.serial < expected) {
@@ -445,22 +457,31 @@ void Governor::adopt_proposal(ledger::Block block) {
     return;
   }
 
-  try {
-    chain_.append(block);
-  } catch (const ProtocolError&) {
+  if (!commit_block(block, /*via_sync=*/false)) {
     // Right serial but bad prev hash / tx root: leader misbehaviour.
     ++metrics_.blocks_rejected;
     broadcast_expel(block.leader, block.encode());
-    return;
   }
-  ++metrics_.blocks_accepted;
-  head_checked_ = false;
+}
 
+bool Governor::commit_block(const ledger::Block& block, bool via_sync) {
+  try {
+    chain_.append(block);
+  } catch (const ProtocolError&) {
+    return false;
+  }
+  head_checked_ = false;
   // Reconcile local pending list: drop records now present in the chain.
-  const ledger::Block& accepted = chain_.head();
-  persist_block(accepted);
-  assembler_.reconcile(accepted);
-  emit(runtime::TraceKind::kBlockCommitted, accepted.serial, accepted.txs.size());
+  const ledger::Block& committed = chain_.head();
+  persist_block(committed);
+  assembler_.reconcile(committed);
+  if (via_sync) {
+    ++metrics_.blocks_synced;
+  } else {
+    ++metrics_.blocks_accepted;
+    emit(runtime::TraceKind::kBlockCommitted, committed.serial, committed.txs.size());
+  }
+  return true;
 }
 
 void Governor::retry_pending_proposals() {
@@ -515,211 +536,6 @@ void Governor::on_block_request(const runtime::Message& msg) {
     }
   }
   ctx_.send(msg.from, runtime::MsgKind::kBlockResponse, resp.encode());
-}
-
-// --- Catch-up sync (provider light-client sync, reused node-to-node) ---------
-
-void Governor::sync_chain() {
-  if (sync_in_flight_) return;
-  if (sync_peers_.empty()) {
-    // Nobody to ask; whatever is stashed can only settle against the local
-    // head.
-    finish_sync();
-    return;
-  }
-  sync_in_flight_ = true;
-  sync_not_found_ = 0;
-  request_block(chain_.height() + 1);
-}
-
-SimDuration Governor::sync_timeout() const { return 8 * ctx_.delta(); }
-
-void Governor::note_lying_peer(NodeId peer) {
-  distrusted_peers_.insert(peer);
-  ++metrics_.lying_sync_rejected;
-  const auto offender = directory_.governor_at(peer);
-  emit_byzantine(adversary::ByzantineKind::kLyingSync,
-                 offender ? offender->value() : peer.value());
-}
-
-void Governor::request_block(BlockSerial serial) {
-  // Distrusted peers (caught serving invalid or outvoted sync responses) are
-  // skipped while any alternative remains; with none scheduled the pool is
-  // exactly sync_peers_, so honest runs rotate identically to before.
-  std::vector<NodeId> pool;
-  for (const NodeId n : sync_peers_) {
-    if (!distrusted_peers_.contains(n)) pool.push_back(n);
-  }
-  if (pool.empty()) pool = sync_peers_;
-  const NodeId peer = pool[(serial + sync_attempts_) % pool.size()];
-  BlockRequestMsg req;
-  req.serial = serial;
-  const std::uint64_t nonce = ++sync_nonce_;
-  ctx_.send(peer, runtime::MsgKind::kBlockRequest, req.encode());
-  // A lost request or response must not wedge the sync flag forever: give up
-  // on this attempt after a grace window unless a newer request superseded
-  // it. Stashed future blocks stay stashed — a later sync (watchdog- or
-  // proposal-triggered) can still fill the gap below them.
-  ctx_.timers().schedule_after(sync_timeout(), [this, nonce] {
-    if (!sync_in_flight_ || nonce != sync_nonce_) return;
-    ++metrics_.sync_timeouts;
-    ++sync_attempts_;
-    sync_in_flight_ = false;
-    drain_stash();
-    // The restart hold-down depends on a sync eventually succeeding: keep
-    // polling (next peer each attempt) until one pass completes — e.g. a
-    // replica that restarted inside a partition can only catch up after the
-    // heal, long after its first request died.
-    if (recovering_) sync_chain();
-  });
-}
-
-void Governor::on_block_response(const runtime::Message& msg) {
-  BlockResponseMsg resp;
-  try {
-    resp = BlockResponseMsg::decode(msg.payload);
-  } catch (const DecodeError&) {
-    return;
-  }
-  if (!sync_in_flight_) return;
-  if (resp.serial != chain_.height() + 1) return;  // stale response
-
-  if (!resp.found) {
-    // Peer has nothing above our head. Corroborate before concluding the
-    // pass: a lone answer may come from a replica exactly as far behind as
-    // we are, and a false "caught up" lets a stale replica win an election
-    // and fork. Majority agreement (or a timeout ending the pass) decides.
-    ++sync_not_found_;
-    if (sync_not_found_ >= sync_peers_.size() / 2 + 1) {
-      finish_sync();
-    } else {
-      ++sync_attempts_;  // rotate to the next peer
-      request_block(chain_.height() + 1);
-    }
-    return;
-  }
-
-  ledger::Block block;
-  bool decoded = true;
-  try {
-    block = ledger::Block::decode(resp.block);
-  } catch (const DecodeError&) {
-    decoded = false;
-  }
-  // Same light-client verification as Provider::on_message: leader must be
-  // an enrolled governor, signature must authenticate; append re-checks
-  // serial continuity, hash link and tx-root.
-  if (decoded) {
-    const NodeId leader_node = directory_.node_of(block.leader);
-    decoded = im_.authorize(leader_node, identity::Role::kGovernor,
-                            block.signed_preimage(), block.leader_sig);
-  }
-  if (!decoded) {
-    ++metrics_.blocks_rejected;
-    if (config_.byzantine_defense && sync_peers_.size() > 1) {
-      // An unverifiable response marks the server as a liar; retry the same
-      // serial against the next peer instead of abandoning the pass.
-      note_lying_peer(msg.from);
-      ++sync_attempts_;
-      request_block(resp.serial);
-      return;
-    }
-    finish_sync();
-    return;
-  }
-
-  if (config_.byzantine_defense && sync_peers_.size() > 1) {
-    // Corroborate before adopting: a lying peer can serve a forged block
-    // that links perfectly onto our chain (tampered TXList, re-signed by
-    // itself as leader), which every local check accepts. Adoption waits
-    // until two distinct peers served byte-identical encodings; the losing
-    // candidates' servers are distrusted.
-    auto& candidates = sync_candidates_[resp.serial];
-    SyncCandidate* match = nullptr;
-    for (auto& cand : candidates) {
-      if (cand.encoding == resp.block) {
-        match = &cand;
-        break;
-      }
-    }
-    if (match == nullptr) {
-      candidates.push_back(SyncCandidate{resp.block, {}});
-      match = &candidates.back();
-    }
-    match->peers.insert(msg.from);
-    if (match->peers.size() < 2) {
-      ++sync_attempts_;  // poll another peer for a second opinion
-      request_block(resp.serial);
-      return;
-    }
-    for (const auto& cand : candidates) {
-      if (cand.encoding == match->encoding) continue;
-      for (const NodeId liar : cand.peers) note_lying_peer(liar);
-    }
-    sync_candidates_.erase(resp.serial);
-  }
-
-  try {
-    chain_.append(block);
-  } catch (const ProtocolError&) {
-    ++metrics_.blocks_rejected;
-    finish_sync();
-    return;
-  }
-  ++metrics_.blocks_synced;
-  head_checked_ = false;
-  sync_not_found_ = 0;  // progress: restart the not-found corroboration
-  const ledger::Block& adopted = chain_.head();
-  persist_block(adopted);
-  assembler_.reconcile(adopted);
-  future_blocks_.erase(adopted.serial);
-  drain_stash();
-
-  // Chain the next request until a peer reports not-found.
-  request_block(chain_.height() + 1);
-}
-
-void Governor::finish_sync() {
-  sync_in_flight_ = false;
-  recovering_ = false;   // reached a peer and drained its head: caught up
-  head_checked_ = true;  // further commit-free rounds do not re-trigger it
-  sync_candidates_.clear();
-  drain_stash();
-  // Stashed proposals still above the head are unadoptable: the gap below
-  // them cannot be filled from any peer.
-  for (const auto& entry : future_blocks_) {
-    (void)entry;
-    ++metrics_.blocks_rejected;
-  }
-  future_blocks_.clear();
-}
-
-void Governor::drain_stash() {
-  while (true) {
-    const auto it = future_blocks_.begin();
-    if (it == future_blocks_.end()) break;
-    if (it->first <= chain_.height()) {
-      future_blocks_.erase(it);  // arrived via sync in the meantime
-      continue;
-    }
-    if (it->first != chain_.height() + 1) break;
-    try {
-      chain_.append(it->second);
-    } catch (const ProtocolError&) {
-      // Contiguous serial but bad prev hash / tx root: misbehaviour after all.
-      ++metrics_.blocks_rejected;
-      broadcast_expel(it->second.leader, it->second.encode());
-      future_blocks_.erase(it);
-      continue;
-    }
-    future_blocks_.erase(it);
-    ++metrics_.blocks_accepted;
-    head_checked_ = false;
-    const ledger::Block& accepted = chain_.head();
-    persist_block(accepted);
-    assembler_.reconcile(accepted);
-    emit(runtime::TraceKind::kBlockCommitted, accepted.serial, accepted.txs.size());
-  }
 }
 
 // --- Stake transfers and the 3-step consensus (§3.4.3) -----------------------
@@ -787,8 +603,8 @@ void Governor::on_state_commit(const runtime::Message& msg) {
   }
   if (stake_consensus_.on_commit(commit, round_, round_leader(), expelled_)) {
     // A stake-transform block is the paper's recovery point: snapshot the
-    // durable state (eagerly, or deferred under WAL compaction).
-    persist_recovery_point();
+    // durable state.
+    persist_snapshot();
   }
 }
 
@@ -882,8 +698,7 @@ void Governor::restore(BytesView data) {
   intake_.clear();
   argues_.restore_entries(std::move(entries));
   election_.reset();
-  future_blocks_.clear();
-  sync_in_flight_ = false;
+  sync_.clear();
 }
 
 // --- Durable state -----------------------------------------------------------
@@ -892,20 +707,9 @@ void Governor::persist_block(const ledger::Block& block) {
   if (store_ == nullptr) return;
   store_->wal_append(block.encode());
   ++blocks_since_snapshot_;
-  ++wal_appends_;
   if (config_.snapshot_interval > 0 &&
       blocks_since_snapshot_ >= config_.snapshot_interval) {
     persist_snapshot();
-  } else if (config_.wal_compaction_appends > 0 && recovery_point_ &&
-             wal_appends_ >= config_.wal_compaction_appends) {
-    // The log is long enough: persist the checkpoint captured at the latest
-    // stake-transform commit and drop the records it covers, keeping the
-    // tail appended since. Replay length stays bounded without the eager
-    // full-snapshot-per-commit write amplification.
-    store_->compact(recovery_point_->checkpoint, recovery_point_->covered_records);
-    wal_appends_ -= recovery_point_->covered_records;
-    blocks_since_snapshot_ = wal_appends_;
-    recovery_point_.reset();
   }
 }
 
@@ -913,17 +717,6 @@ void Governor::persist_snapshot() {
   if (store_ == nullptr) return;
   store_->write_snapshot(checkpoint());
   blocks_since_snapshot_ = 0;
-  wal_appends_ = 0;
-  recovery_point_.reset();  // superseded: the new snapshot covers more
-}
-
-void Governor::persist_recovery_point() {
-  if (store_ == nullptr) return;
-  if (config_.wal_compaction_appends > 0) {
-    recovery_point_ = RecoveryPoint{checkpoint(), wal_appends_};
-  } else {
-    persist_snapshot();
-  }
 }
 
 void Governor::recover_from_store() {
@@ -932,8 +725,7 @@ void Governor::recover_from_store() {
   // Replay the WAL tail. Records the snapshot already covers are expected
   // after a crash between snapshot rename and WAL truncation — skip them by
   // serial; everything else must extend the chain cleanly.
-  const std::vector<Bytes> records = store_->wal_records();
-  for (const auto& record : records) {
+  for (const auto& record : store_->wal_records()) {
     const ledger::Block block = ledger::Block::decode(record);
     if (block.serial <= chain_.height()) continue;
     chain_.append(block);  // re-verifies serial, hash link, tx root
@@ -943,8 +735,6 @@ void Governor::recover_from_store() {
   }
   assembler_.reset_from_chain(chain_);
   blocks_since_snapshot_ = 0;
-  wal_appends_ = records.size();
-  recovery_point_.reset();  // pre-crash capture died with the old life
   // Reliable mode only: default delivery keeps the synchronous-model
   // assumption that the restart sync completes before the next election.
   recovering_ = ctx_.reliable();

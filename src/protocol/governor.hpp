@@ -14,6 +14,7 @@
 #include "ledger/validation_oracle.hpp"
 #include "protocol/argue_service.hpp"
 #include "protocol/block_assembly.hpp"
+#include "protocol/chain_sync.hpp"
 #include "protocol/directory.hpp"
 #include "protocol/equivocation_detector.hpp"
 #include "protocol/governor_types.hpp"
@@ -36,8 +37,9 @@ namespace repchain::protocol {
 ///   - BlockAssembler        TXList accumulation and block packing
 ///   - StakeConsensus        stake ledger + the 3-step consensus (§3.4.3)
 ///   - EquivocationDetector  label-gossip cross-checking extension (§4.2)
+///   - ChainSync             catch-up sync and the stash of early proposals
 /// This class is the facade: message authentication, dispatch, leader
-/// election, timer-driven round phases, and checkpointing.
+/// election, timer-driven round phases, block commits, and checkpointing.
 ///
 /// The governor sees its host only through runtime::NodeContext (delivery,
 /// timers, rng, trace sink) — it runs unchanged under the simulator or any
@@ -50,10 +52,11 @@ class Governor {
   /// (partial-information deployments, §3.1: "the structure of the network
   /// can be adjusted").
   /// `store` (optional) attaches durable state: every committed block is
-  /// WAL-appended and every stake-transform commit (plus every
-  /// config.snapshot_interval blocks, if set) persists a checkpoint()
-  /// snapshot and truncates the log. Construction does not read the store —
-  /// call recover_from_store() to replay a previous incarnation's state.
+  /// WAL-appended, and every stake-transform commit (the paper's recovery
+  /// point, plus every config.snapshot_interval blocks, if set) persists a
+  /// checkpoint() snapshot and truncates the log. Construction does not read
+  /// the store — call recover_from_store() to replay a previous
+  /// incarnation's state.
   Governor(GovernorId id, runtime::NodeContext& ctx, crypto::SigningKey key,
            const identity::IdentityManager& im, ledger::ValidationOracle& oracle,
            const Directory& directory, runtime::Broadcaster& governor_group,
@@ -159,8 +162,8 @@ class Governor {
 
   /// Catch up with peers: request blocks above the local head from the
   /// other governors (the provider light-client sync, reused node-to-node).
-  /// No-op while a sync is already in flight or when there are no peers.
-  void sync_chain();
+  /// No-op while a sync is already in flight.
+  void sync_chain() { sync_.start(); }
 
   // --- Accessors ------------------------------------------------------------
 
@@ -207,7 +210,6 @@ class Governor {
   void on_expel(const runtime::Message& msg);
   void on_label_gossip(const runtime::Message& msg);
   void on_block_request(const runtime::Message& msg);
-  void on_block_response(const runtime::Message& msg);
 
   void broadcast_expel(GovernorId accused, Bytes evidence);
   /// Re-broadcast the held equivocation proof against `offender` at most
@@ -233,32 +235,21 @@ class Governor {
   /// Serial/link/authenticity checks + append for a proposal whose leader
   /// legitimacy has already been established.
   void adopt_proposal(ledger::Block block);
-  /// Byzantine defense: record that `peer` served an invalid or outvoted
-  /// sync response; distrusted peers are deprioritized in request_block.
-  void note_lying_peer(NodeId peer);
+  /// The one commit path (proposals, drained stash, sync): append `block`,
+  /// persist it, reconcile the pending list, and count it — as synced, or
+  /// as accepted with a kBlockCommitted trace. False, with nothing changed,
+  /// when the chain refuses the block; the caller decides what that means.
+  bool commit_block(const ledger::Block& block, bool via_sync);
   /// Re-evaluate proposals stashed while this round's winner was undecided
   /// (see pending_proposals_).
   void retry_pending_proposals();
   /// Liveness watchdog (config.watchdog_rounds): fires at each round end.
   void watchdog_check();
-  [[nodiscard]] SimDuration sync_timeout() const;
 
-  /// Ask a peer governor for block `serial` (round-robin over peers).
-  void request_block(BlockSerial serial);
-  /// Sync finished (caught up or failed): settle stashed future blocks.
-  void finish_sync();
-  /// Adopt stashed future blocks that have become contiguous with the head.
-  void drain_stash();
-  /// WAL-append a committed block; snapshot every config.snapshot_interval
-  /// and compact at the captured recovery point once the log holds
-  /// config.wal_compaction_appends blocks.
+  /// WAL-append a committed block; snapshot every config.snapshot_interval.
   void persist_block(const ledger::Block& block);
   /// Persist a checkpoint snapshot (truncates the WAL). No-op without store.
   void persist_snapshot();
-  /// Stake-transform commit landed: either snapshot eagerly (default) or,
-  /// under WAL compaction, capture the checkpoint as the pending recovery
-  /// point for the next compaction.
-  void persist_recovery_point();
 
   GovernorId id_;
   runtime::NodeContext& ctx_;
@@ -280,6 +271,8 @@ class Governor {
   StakeConsensus stake_consensus_;
   EquivocationDetector equivocation_;
   ScreeningIntake intake_;
+  std::vector<NodeId> peers_;  // other governors' nodes
+  ChainSync sync_;
 
   // Adversary layer: installed Byzantine behaviors (all-honest by default).
   adversary::GovernorByzantine byz_;
@@ -298,52 +291,22 @@ class Governor {
   std::size_t stalled_rounds_ = 0;
   BlockSerial round_start_height_ = 0;
 
-  // Durable state + catch-up sync.
+  // Durable state.
   storage::NodeStateStore* store_ = nullptr;
   std::size_t blocks_since_snapshot_ = 0;
-  std::size_t wal_appends_ = 0;  // records currently in the store's log
-  /// Checkpoint captured at the latest stake-transform commit, deferred
-  /// until the log grows past config.wal_compaction_appends (WAL compaction
-  /// only; the eager path snapshots immediately instead).
-  struct RecoveryPoint {
-    Bytes checkpoint;
-    std::size_t covered_records = 0;  // WAL length when it was captured
-  };
-  std::optional<RecoveryPoint> recovery_point_;
-  std::vector<NodeId> sync_peers_;  // other governors' nodes
-  bool sync_in_flight_ = false;
-  std::uint64_t sync_nonce_ = 0;  // guards the per-request timeout timers
-  std::uint64_t sync_attempts_ = 0;  // rotates the polled peer across retries
-  // Peers that reported nothing above our head in the current sync pass. One
-  // such answer is not proof of being caught up (the peer may be exactly as
-  // far behind — e.g. our partition island mate); the pass only concludes
-  // once a majority of peers agree.
-  std::size_t sync_not_found_ = 0;
+
   // Reliable-mode hold-down: a governor that restarted — or that committed
   // nothing in the previous round and so may have silently fallen behind —
   // must not announce in elections (and so can never lead) until one sync
   // pass completes: a stale winner would fork itself by proposing on an
   // outdated chain. While recovering, a timed-out sync retries against the
-  // next peer.
+  // next peer; ChainSync reports each concluded pass (Hooks::finished).
   bool recovering_ = false;
   // True once a sync pass has confirmed the head since the last commit.
   // Bounds the stall-triggered hold-down to one round per stall episode, so
   // a cluster-wide stall (e.g. a quorum-splitting partition) cannot keep
   // every governor out of the election forever.
   bool head_checked_ = false;
-  // Byzantine defense: sync responses are corroborated before adoption —
-  // a block is appended only once two distinct peers served byte-identical
-  // encodings (single-peer topologies adopt directly). Losing candidates'
-  // servers are distrusted and skipped by later request_block rotations.
-  struct SyncCandidate {
-    Bytes encoding;
-    std::set<NodeId> peers;
-  };
-  std::map<BlockSerial, std::vector<SyncCandidate>> sync_candidates_;
-  std::set<NodeId> distrusted_peers_;
-  // Authenticated proposals from ahead of our head (we missed blocks while
-  // down): stashed until sync fills the gap, rejected if it cannot.
-  std::map<BlockSerial, ledger::Block> future_blocks_;
   // Proposals whose leader check failed while this round's winner was still
   // undecided (election not yet closed, or announcements still in flight):
   // re-evaluated on every fresh announcement and at close, dropped at the

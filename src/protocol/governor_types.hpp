@@ -27,13 +27,6 @@ struct GovernorConfig {
   /// (and truncate the WAL) every N committed blocks. 0 keeps the paper's
   /// recovery points only — snapshots happen at stake-transform commits.
   std::size_t snapshot_interval = 0;
-  /// WAL compaction: once the log holds at least N appended blocks, persist
-  /// the checkpoint captured at the latest stake-transform commit (the
-  /// paper's recovery point) and truncate the log at that point, keeping the
-  /// tail — so replay length stays bounded by N plus the blocks since that
-  /// commit, without snapshotting eagerly on every stake transform. 0 (the
-  /// default) keeps the eager behavior: a full snapshot at each commit.
-  std::size_t wal_compaction_appends = 0;
   /// Liveness watchdog: after this many consecutive rounds without a local
   /// commit, the governor emits a kRoundStalled trace and triggers a peer
   /// sync instead of hanging. 0 disables (the default; fault schedules
@@ -46,12 +39,6 @@ struct GovernorConfig {
   /// bit-identical; scenarios switch it on whenever an AdversarySpec is
   /// scheduled.
   bool byzantine_defense = false;
-  /// Batched intake verification: collector uploads landing at one instant
-  /// are settled through a single crypto::verify_batch call (same-instant
-  /// flush timer + VerifiedBatch) instead of one verify per signature.
-  /// Outcome-identical to the single-verify path — the off switch exists
-  /// only so equivalence tests can run both paths side by side.
-  bool batch_verify_intake = true;
 };
 
 /// Loss bookkeeping on one unchecked transaction, kept for the experiments:

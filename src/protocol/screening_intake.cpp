@@ -25,30 +25,10 @@ void ScreeningIntake::on_upload(const runtime::Message& msg) {
   const auto collector_node = directory_.node_of(ltx.collector);
   const ledger::TxId id = ltx.tx.id();
 
-  if (!config_.batch_verify_intake) {
-    // Single-verify path, kept for side-by-side equivalence tests: the
-    // collector's own signature must authorize, or the upload cannot even
-    // be attributed — drop silently. verify(c_i, Tx): the contained
-    // provider signature must be genuine and the provider linked with this
-    // collector; otherwise the upload is a forgery — Algorithm 3 case 1.
-    const bool collector_ok =
-        im_.authorize(collector_node, identity::Role::kCollector,
-                      ltx.signed_preimage(), ltx.collector_sig);
-    const bool provider_known = directory_.linked(ltx.tx.provider, ltx.collector);
-    bool provider_sig_ok = false;
-    if (collector_ok && provider_known) {
-      const NodeId provider_node = directory_.node_of(ltx.tx.provider);
-      provider_sig_ok =
-          im_.authenticate(provider_node, ltx.tx.signed_preimage(), ltx.tx.provider_sig);
-    }
-    ingest(ltx, id, collector_ok, provider_known, provider_sig_ok);
-    return;
-  }
-
-  // Batched path: run the non-cryptographic gates now, queue the surviving
-  // signatures, and let the same-instant flush settle them in bulk. The
-  // gates mirror authorize/authenticate exactly, so the verdicts are what
-  // the single-verify path would have produced.
+  // Run the non-cryptographic gates now, queue the surviving signatures, and
+  // let the same-instant flush settle them in bulk. The gates mirror
+  // authorize/authenticate exactly, and the batch checks verify()'s
+  // equation, so every verdict is the one a per-item check would give.
   PendingUpload pu;
   const crypto::VerifyingKey* collector_key =
       im_.verification_key(collector_node, identity::Role::kCollector);

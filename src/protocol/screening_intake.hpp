@@ -32,18 +32,17 @@ namespace repchain::protocol {
 /// node's timers, and routes each screening outcome to the block assembler /
 /// argue service.
 ///
-/// Signature checks run batched (GovernorConfig::batch_verify_intake):
-/// on_upload runs only the non-cryptographic gates inline, queues the
-/// surviving signatures in a VerifiedBatch, and arms a zero-delay flush
-/// timer. All uploads landing at one instant — collector bursts collapsed
-/// onto a single delivery time by the atomic broadcast's in-order rule —
-/// settle through a single crypto::verify_batch call, then flow through the
-/// unchanged per-upload pipeline in arrival order. A (TxId, signature) memo
-/// additionally skips re-verifying a provider signature this governor
-/// already proved genuine for an earlier reporter of the same transaction.
-/// The batch coefficients draw from a private derived Rng stream, so
-/// behavioral streams (and the fixed-seed goldens pinned to them) are
-/// untouched.
+/// Signature checks run batched: on_upload runs only the non-cryptographic
+/// gates inline, queues the surviving signatures in a VerifiedBatch, and
+/// arms a zero-delay flush timer. All uploads landing at one instant —
+/// collector bursts collapsed onto a single delivery time by the atomic
+/// broadcast's in-order rule — settle through a single crypto::verify_batch
+/// call, then flow through the per-upload pipeline in arrival order. A
+/// (TxId, signature) memo additionally skips re-verifying a provider
+/// signature this governor already proved genuine for an earlier reporter
+/// of the same transaction. The batch coefficients draw from a private
+/// derived Rng stream, so behavioral streams (and the fixed-seed goldens
+/// pinned to them) are untouched.
 class ScreeningIntake {
  public:
   ScreeningIntake(const identity::IdentityManager& im, const Directory& directory,
@@ -117,8 +116,8 @@ class ScreeningIntake {
   /// Settle the queued batch and run every buffered upload through the
   /// post-verification pipeline in arrival order.
   void flush();
-  /// The pipeline tail shared by the batched and single-verify paths:
-  /// everything after the two signature verdicts are known.
+  /// The per-upload pipeline tail: everything after the two signature
+  /// verdicts are known.
   void ingest(const ledger::LabeledTransaction& ltx, const ledger::TxId& id,
               bool collector_ok, bool provider_known, bool provider_sig_ok);
   /// Queue `id` for screening at now + aggregation_delta. Deadlines are

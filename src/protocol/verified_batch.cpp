@@ -3,8 +3,6 @@
 namespace repchain::protocol {
 
 void VerifiedBatch::settle(Rng& rng) {
-  if (settled_) return;
-  settled_ = true;
   if (items_.empty()) return;
 
   // One combined check settles the whole batch when everything is genuine

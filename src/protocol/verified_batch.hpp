@@ -13,15 +13,15 @@ namespace repchain::protocol {
 /// A batch of signature checks accumulated by an ingestion front-end and
 /// settled in one crypto::verify_batch call.
 ///
-/// Front-ends (ScreeningIntake's upload flush, EquivocationDetector's gossip
-/// ingestion, StakeConsensus quorum checks) run their non-cryptographic
-/// gates per item first — enrollment, role, revocation, link structure — via
-/// IdentityManager::verification_key. Items that fail a gate, or that hit a
-/// verified-signature memo, enter the batch pre-decided; the rest carry a
-/// (key, message, sig) triple and are settled together: one random-linear-
-/// combination check for the whole batch, with the verify_batch_detailed
-/// per-item fallback isolating the offending items when the combined check
-/// fails. The per-item verdicts are therefore exactly what per-item
+/// The front-end (ScreeningIntake's upload flush, its only user) runs the
+/// non-cryptographic gates per item first — enrollment, role, revocation,
+/// link structure — via IdentityManager::verification_key. Items that fail
+/// a gate, or that hit a verified-signature memo, enter the batch
+/// pre-decided; the rest carry a (key, message, sig) triple and are settled
+/// together: one random-linear-combination check for the whole batch, with
+/// the verify_batch_detailed per-item fallback isolating the offending items
+/// when the combined check fails. verify_batch checks verify()'s cofactored
+/// equation, so the per-item verdicts are exactly what per-item
 /// authenticate/authorize calls would have produced, at a fraction of the
 /// scalar-multiplication cost.
 ///
@@ -49,16 +49,11 @@ class VerifiedBatch {
   }
 
   /// Run the queued checks: one verify_batch over every pending item, with
-  /// per-item fallback on failure. Idempotent once settled.
+  /// per-item fallback on failure.
   void settle(Rng& rng);
 
   /// Per-item verdict; only valid after settle().
   [[nodiscard]] bool ok(Index i) const { return verdicts_[i] == kTrue; }
-
-  [[nodiscard]] std::size_t size() const { return verdicts_.size(); }
-  /// How many items actually went through cryptographic verification.
-  [[nodiscard]] std::size_t crypto_checks() const { return items_.size(); }
-  [[nodiscard]] bool settled() const { return settled_; }
 
   /// Reset for reuse; keeps the vectors' capacity (intake flushes reuse one
   /// batch object round after round).
@@ -66,7 +61,6 @@ class VerifiedBatch {
     items_.clear();
     slots_.clear();
     verdicts_.clear();
-    settled_ = false;
   }
 
  private:
@@ -78,7 +72,6 @@ class VerifiedBatch {
   std::vector<crypto::BatchItem> items_;   // pending crypto checks, in order
   std::vector<std::size_t> slots_;         // item index -> items_ slot (or kNoSlot)
   std::vector<std::int8_t> verdicts_;
-  bool settled_ = false;
 };
 
 }  // namespace repchain::protocol

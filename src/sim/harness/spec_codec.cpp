@@ -9,9 +9,11 @@ namespace {
 // v1 predates sharding; v2 appends shard_count / anchor_interval /
 // cross_shard_probability / bounded_history; v3 drops the governor-level
 // reliable_delivery / channel_epoch fields (delivery mode lives on the node
-// context, set from the scenario-level flag). The version byte leads the
-// encoding, so universes of different versions never share a genesis hash.
-constexpr std::uint8_t kConfigVersion = 3;
+// context, set from the scenario-level flag); v4 drops the governor-level
+// wal_compaction_appends field (a stake-transform commit always snapshots).
+// The version byte leads the encoding, so universes of different versions
+// never share a genesis hash.
+constexpr std::uint8_t kConfigVersion = 4;
 
 }  // namespace
 
@@ -87,7 +89,6 @@ Bytes encode_config(const ScenarioConfig& c) {
   w.u64(c.governor.aggregation_delta);
   w.boolean(c.governor.enable_label_gossip);
   w.u64(c.governor.snapshot_interval);
-  w.u64(c.governor.wal_compaction_appends);
   w.u64(c.governor.watchdog_rounds);
   w.boolean(c.governor.byzantine_defense);
   w.u64(c.latency.min_delay);
@@ -144,7 +145,6 @@ ScenarioConfig decode_config(BytesView data) {
   c.governor.aggregation_delta = r.u64();
   c.governor.enable_label_gossip = r.boolean();
   c.governor.snapshot_interval = r.u64();
-  c.governor.wal_compaction_appends = r.u64();
   c.governor.watchdog_rounds = r.u64();
   c.governor.byzantine_defense = r.boolean();
   c.latency.min_delay = r.u64();

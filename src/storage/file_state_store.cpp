@@ -73,10 +73,9 @@ void fsync_dir(const std::filesystem::path& dir) {
 
 FileStateStore::FileStateStore(std::filesystem::path dir) : dir_(std::move(dir)) {
   std::filesystem::create_directories(dir_);
-  // A leftover tmp file is an interrupted snapshot write (or compaction
-  // rewrite); the rename never happened, so it carries no committed state.
+  // A leftover tmp file is an interrupted snapshot write; the rename never
+  // happened, so it carries no committed state.
   std::filesystem::remove(tmp_path());
-  std::filesystem::remove(wal_tmp_path());
   if (std::filesystem::exists(wal_path())) {
     const Bytes image = read_file(wal_path());
     const WalScan scan = scan_wal(image);  // throws on genuine corruption
@@ -104,7 +103,7 @@ std::vector<Bytes> FileStateStore::wal_records() const {
   return scan_wal(read_file(wal_path())).records;
 }
 
-void FileStateStore::replace_snapshot(BytesView payload) {
+void FileStateStore::write_snapshot(BytesView payload) {
   const Bytes image = encode_snapshot(payload);
   {
     const Fd fd(tmp_path(), O_WRONLY | O_CREAT | O_TRUNC);
@@ -115,34 +114,9 @@ void FileStateStore::replace_snapshot(BytesView payload) {
   std::filesystem::rename(tmp_path(), snapshot_path(), ec);
   if (ec) throw ProtocolError("snapshot rename failed: " + ec.message());
   fsync_dir(dir_);
-}
-
-void FileStateStore::write_snapshot(BytesView payload) {
-  replace_snapshot(payload);
   // Snapshot is durable; the log it superseded can go. A crash right here
   // leaves stale WAL records, which recovery skips by block serial.
   std::filesystem::remove(wal_path());
-  fsync_dir(dir_);
-}
-
-void FileStateStore::compact(BytesView payload, std::size_t covered_records) {
-  const std::vector<Bytes> records = wal_records();
-  replace_snapshot(payload);
-  // Rewrite the log keeping only the frames past the recovery point, through
-  // the same temp + fsync + rename discipline as the snapshot: the visible
-  // wal.bin is always either the full pre-compaction log or the tail.
-  Bytes tail;
-  for (std::size_t i = covered_records; i < records.size(); ++i) {
-    append_frame(tail, records[i]);
-  }
-  {
-    const Fd fd(wal_tmp_path(), O_WRONLY | O_CREAT | O_TRUNC);
-    fd.write_all(tail);
-    fd.sync();
-  }
-  std::error_code ec;
-  std::filesystem::rename(wal_tmp_path(), wal_path(), ec);
-  if (ec) throw ProtocolError("wal rename failed: " + ec.message());
   fsync_dir(dir_);
 }
 

@@ -14,7 +14,6 @@ namespace repchain::storage {
 ///   wal.bin       append-only CRC-framed block log (fsync per append)
 ///   snapshot.bin  latest checkpoint (magic + CRC envelope)
 ///   snapshot.tmp  in-flight snapshot write; never read, removed on open
-///   wal.tmp       in-flight compaction rewrite; never read, removed on open
 ///
 /// Snapshot replacement is write-temp + fsync + rename + fsync(dir), so the
 /// visible snapshot.bin is always a complete image. The WAL is truncated only
@@ -31,7 +30,6 @@ class FileStateStore final : public NodeStateStore {
   void wal_append(BytesView record) override;
   [[nodiscard]] std::vector<Bytes> wal_records() const override;
   void write_snapshot(BytesView payload) override;
-  void compact(BytesView payload, std::size_t covered_records) override;
   [[nodiscard]] std::optional<Bytes> load_snapshot() const override;
   [[nodiscard]] std::size_t wal_bytes() const override;
   [[nodiscard]] std::size_t snapshot_bytes() const override;
@@ -42,10 +40,6 @@ class FileStateStore final : public NodeStateStore {
   [[nodiscard]] std::filesystem::path wal_path() const { return dir_ / "wal.bin"; }
   [[nodiscard]] std::filesystem::path snapshot_path() const { return dir_ / "snapshot.bin"; }
   [[nodiscard]] std::filesystem::path tmp_path() const { return dir_ / "snapshot.tmp"; }
-  [[nodiscard]] std::filesystem::path wal_tmp_path() const { return dir_ / "wal.tmp"; }
-
-  /// Shared tail of write_snapshot/compact: snapshot.tmp + fsync + rename.
-  void replace_snapshot(BytesView payload);
 
   std::filesystem::path dir_;
 };

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -34,14 +33,6 @@ class NodeStateStore {
   /// Atomically persist a checkpoint payload, then truncate the WAL.
   virtual void write_snapshot(BytesView payload) = 0;
 
-  /// WAL compaction: atomically persist `payload` as the snapshot, then drop
-  /// the first `covered_records` WAL records — the ones the snapshot already
-  /// covers — keeping the tail appended after the recovery point. A crash
-  /// anywhere inside leaves either the old snapshot + full WAL or the new
-  /// snapshot + (full WAL | tail); recovery skips covered records by serial
-  /// either way. `covered_records` beyond the log length clears it.
-  virtual void compact(BytesView payload, std::size_t covered_records) = 0;
-
   /// Latest durable snapshot payload, if one was ever written.
   [[nodiscard]] virtual std::optional<Bytes> load_snapshot() const = 0;
 
@@ -68,16 +59,6 @@ class MemoryStateStore final : public NodeStateStore {
   void write_snapshot(BytesView payload) override {
     snapshot_ = encode_snapshot(payload);
     wal_.clear();
-  }
-
-  void compact(BytesView payload, std::size_t covered_records) override {
-    snapshot_ = encode_snapshot(payload);
-    const std::vector<Bytes> records = scan_wal(wal_).records;
-    Bytes tail;
-    for (std::size_t i = covered_records; i < records.size(); ++i) {
-      append_frame(tail, records[i]);
-    }
-    wal_ = std::move(tail);
   }
 
   [[nodiscard]] std::optional<Bytes> load_snapshot() const override {

@@ -4,6 +4,7 @@
 
 #include "common/rng.hpp"
 #include "crypto/keygen.hpp"
+#include "crypto/sha512.hpp"
 #include "reference_ops.hpp"
 
 namespace repchain::crypto {
@@ -115,6 +116,52 @@ TEST(BatchVerify, DetailedAllValidShortCircuits) {
   const auto items = make_batch(rng, 4);
   const auto result = verify_batch_detailed(items, rng);
   for (bool ok : result) EXPECT_TRUE(ok);
+}
+
+Scalar random_scalar(Rng& rng) {
+  ByteArray<64> wide{};
+  const Bytes raw = rng.bytes(64);
+  std::copy(raw.begin(), raw.end(), wide.begin());
+  return sc_from_bytes_wide(wide);
+}
+
+TEST(BatchVerify, TorsionInRGetsOneVerdictFromEveryPath) {
+  // R = [r]B + T with T the order-2 point (0, -1), and S = r + k*a over
+  // R's encoding. The cofactored equation accepts such a signature; a
+  // cofactorless batch would accept it only for the coefficient draws where
+  // z*T vanishes (about half), while a cofactorless verify never would. All
+  // three paths must agree, alone and next to a valid signature.
+  const Point t{fe_zero(), fe_neg(fe_one()), fe_one(), fe_zero()};
+  ASSERT_TRUE(point_is_identity(point_double(t)));
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    Rng rng(1000 + seed);
+    const Scalar a = random_scalar(rng);
+    const PublicKey pub{point_compress(point_base_mul(a))};
+    const Scalar r = random_scalar(rng);
+    const ByteArray<32> r_enc = point_compress(point_add(point_base_mul(r), t));
+    BatchItem odd;
+    odd.pub = pub;
+    odd.message = to_bytes("torsion-" + std::to_string(seed));
+    const Hash512 kh = sha512_concat({view(r_enc), view(pub.bytes), odd.message});
+    ByteArray<64> wide{};
+    std::copy(kh.begin(), kh.end(), wide.begin());
+    const ByteArray<32> s_enc = sc_to_bytes(sc_muladd(sc_from_bytes_wide(wide), a, r));
+    std::copy(r_enc.begin(), r_enc.end(), odd.sig.bytes.begin());
+    std::copy(s_enc.begin(), s_enc.end(), odd.sig.bytes.begin() + 32);
+
+    const bool single = verify(odd.pub, odd.message, odd.sig);
+    EXPECT_TRUE(single) << seed;
+    const std::vector<BatchItem> alone{odd};
+    EXPECT_EQ(verify_batch(alone, rng), single) << seed;
+    EXPECT_EQ(verify_batch_detailed(alone, rng)[0], single) << seed;
+
+    std::vector<BatchItem> mixed = make_batch(rng, 1);
+    mixed.push_back(odd);
+    EXPECT_EQ(verify_batch(mixed, rng), single) << seed;
+    const auto detailed = verify_batch_detailed(mixed, rng);
+    EXPECT_TRUE(detailed[0]) << seed;
+    EXPECT_EQ(detailed[1], single) << seed;
+  }
 }
 
 TEST(MultiScalarMul, MatchesIndependentLadders) {

@@ -226,6 +226,53 @@ TEST(Ed25519Sign, NonCanonicalKeyVerifiesNothing) {
   EXPECT_FALSE(verify(key, msg, signer.sign(msg)));
 }
 
+TEST(Ed25519Sign, SmallOrderKeyVerifiesNothing) {
+  // The eight small-order points: the identity, the order-2 point, and the
+  // points of order 4 and 8 with both x signs. Under a small-order A the
+  // cofactored equation [8]([S]B - [k]A - R) == O holds for R = [r]B, S = r
+  // and any message, so decoding refuses such keys.
+  const char* const encodings[] = {
+      "0100000000000000000000000000000000000000000000000000000000000000",
+      "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+      "0000000000000000000000000000000000000000000000000000000000000000",
+      "0000000000000000000000000000000000000000000000000000000000000080",
+      "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+      "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85",
+      "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+      "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa",
+  };
+  const Scalar r = scalar_from_u64(12345);
+  const ByteArray<32> r_enc = point_compress(point_base_mul(r));
+  Signature sig;
+  std::copy(r_enc.begin(), r_enc.end(), sig.bytes.begin());
+  const ByteArray<32> s_enc = sc_to_bytes(r);
+  std::copy(s_enc.begin(), s_enc.end(), sig.bytes.begin() + 32);
+  const Bytes msg = to_bytes("any message at all");
+  Rng rng(1012);
+  for (const char* hex : encodings) {
+    PublicKey pub;
+    const Bytes raw = from_hex(hex);
+    std::copy(raw.begin(), raw.end(), pub.bytes.begin());
+    const auto a = point_decompress(pub.bytes);
+    ASSERT_TRUE(a.has_value()) << hex;
+    ASSERT_TRUE(point_is_identity(point_mul_by_cofactor(*a))) << hex;
+    // The equation alone would accept the forgery...
+    const Hash512 kh = sha512_concat({view(r_enc), view(pub.bytes), msg});
+    ByteArray<64> wide{};
+    std::copy(kh.begin(), kh.end(), wide.begin());
+    const Point lhs = point_double_scalar_mul(sc_from_bytes_wide(wide), point_neg(*a), r);
+    EXPECT_TRUE(point_is_identity(
+        point_mul_by_cofactor(point_add(lhs, point_neg(point_base_mul(r))))))
+        << hex;
+    // ...so the key decodes to nothing and verifies nothing.
+    const VerifyingKey key(pub);
+    EXPECT_FALSE(key.point().has_value()) << hex;
+    EXPECT_FALSE(verify(key, msg, sig)) << hex;
+    const std::vector<BatchItem> batch{{key, msg, sig}};
+    EXPECT_FALSE(verify_batch(batch, rng)) << hex;
+  }
+}
+
 TEST(Ed25519Sign, SignVerifyRoundTrip) {
   Rng rng(1001);
   for (int i = 0; i < 5; ++i) {

@@ -158,73 +158,6 @@ TEST(CrashRecovery, FileBackedStoreSurvivesCrash) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(CrashRecovery, WalCompactionRecoveryMatchesEagerSnapshots) {
-  // Same seed, same crash schedule, two storage policies: the default eager
-  // snapshot at every stake-transform commit vs deferred WAL compaction
-  // (wal_compaction_appends = 1). Storage policy is off the protocol path,
-  // so both runs — including the crashed governor's recovery — must end in
-  // identical cluster state; only the on-disk images along the way differ.
-  const SimDuration crash_offset = Scenario(quiet_config()).timing().audit_offset;
-  const auto run_policy = [crash_offset](std::size_t compaction_appends) {
-    ScenarioConfig cfg = quiet_config();
-    cfg.governor.snapshot_interval = 0;
-    cfg.governor.wal_compaction_appends = compaction_appends;
-    cfg.governor_stakes = {5, 5, 5};
-    CrashPlan plan;
-    plan.governor = 1;
-    plan.crash_round = 3;
-    plan.crash_offset = crash_offset;
-    plan.restart_round = 4;
-    cfg.crashes = {plan};
-    auto s = std::make_unique<Scenario>(cfg);
-    for (Round r = 1; r <= cfg.rounds; ++r) {
-      if (r <= 2) {
-        // Stake transfers in the all-alive prefix: each commit is a recovery
-        // point, made durable (eagerly, or by the compaction the next block
-        // append triggers) before the round-3 crash.
-        s->governor(0).submit_stake_transfer(GovernorId(2), 1);
-        s->queue().run();
-      }
-      s->run_round();
-    }
-    return s;
-  };
-
-  const auto eager = run_policy(0);
-  const auto compacted = run_policy(1);
-
-  expect_cluster_converged(*compacted);
-  const auto a = eager->summary();
-  const auto b = compacted->summary();
-  EXPECT_EQ(a.blocks, b.blocks);
-  EXPECT_EQ(a.chain_valid_txs, b.chain_valid_txs);
-  EXPECT_EQ(a.chain_unchecked_txs, b.chain_unchecked_txs);
-  EXPECT_EQ(a.validations_total, b.validations_total);
-  const std::size_t n = eager->config().topology.governors;
-  for (std::size_t g = 0; g < n; ++g) {
-    EXPECT_EQ(eager->governor(g).chain().height(),
-              compacted->governor(g).chain().height())
-        << g;
-    EXPECT_TRUE(ledger::ChainStore::same_prefix(eager->governor(g).chain(),
-                                                compacted->governor(g).chain()))
-        << g;
-    // The recovered replica's stake ledger must carry both transfers under
-    // either policy.
-    for (std::uint32_t to = 0; to < n; ++to) {
-      EXPECT_EQ(eager->governor(g).stake().of(GovernorId(to)),
-                compacted->governor(g).stake().of(GovernorId(to)))
-          << g << "/" << to;
-    }
-  }
-  // The deferred checkpoint really landed and capped the replay length: the
-  // compacted store holds a snapshot plus a WAL tail strictly shorter than
-  // the chain it would otherwise have to replay in full.
-  const auto* store = compacted->governor_store(0);
-  ASSERT_NE(store, nullptr);
-  EXPECT_GT(store->snapshot_bytes(), 0u);
-  EXPECT_LT(store->wal_records().size(), compacted->governor(0).chain().height());
-}
-
 TEST(CrashRecovery, TwoGovernorsCrashInTurn) {
   // Staggered faults: governor 1 dies in round 2, governor 2 in round 3;
   // both rejoin later. The cluster must still converge with every replica

@@ -236,30 +236,6 @@ TEST(MemoryStateStore, CorruptRawSnapshotRefusesToLoad) {
   EXPECT_THROW((void)store.load_snapshot(), DecodeError);
 }
 
-TEST(MemoryStateStore, CompactDropsCoveredPrefixKeepsTail) {
-  MemoryStateStore store;
-  store.wal_append(to_bytes("covered-1"));
-  store.wal_append(to_bytes("covered-2"));
-  store.wal_append(to_bytes("tail"));
-  store.compact(to_bytes("ckpt"), 2);
-  ASSERT_TRUE(store.load_snapshot().has_value());
-  EXPECT_EQ(*store.load_snapshot(), to_bytes("ckpt"));
-  const auto records = store.wal_records();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0], to_bytes("tail"));
-  // Appends after compaction land behind the surviving tail.
-  store.wal_append(to_bytes("after"));
-  EXPECT_EQ(store.wal_records().size(), 2u);
-}
-
-TEST(MemoryStateStore, CompactBeyondLogLengthClearsIt) {
-  MemoryStateStore store;
-  store.wal_append(to_bytes("only"));
-  store.compact(to_bytes("ckpt"), 5);
-  EXPECT_TRUE(store.wal_records().empty());
-  EXPECT_EQ(*store.load_snapshot(), to_bytes("ckpt"));
-}
-
 // --- FileStateStore ----------------------------------------------------------
 
 TEST(FileStateStore, PersistsAcrossReopen) {
@@ -339,46 +315,6 @@ TEST(FileStateStore, CorruptCompleteFrameRefusesToOpen) {
     f.put(static_cast<char>(c ^ 0x01));
   }
   EXPECT_THROW(FileStateStore{dir.path}, ProtocolError);
-}
-
-TEST(FileStateStore, CompactPersistsAcrossReopen) {
-  ScratchDir dir("compact");
-  {
-    FileStateStore store(dir.path);
-    store.wal_append(to_bytes("covered-1"));
-    store.wal_append(to_bytes("covered-2"));
-    store.wal_append(to_bytes("tail"));
-    store.compact(to_bytes("ckpt"), 2);
-    EXPECT_FALSE(std::filesystem::exists(dir.path / "wal.tmp"));
-    EXPECT_FALSE(std::filesystem::exists(dir.path / "snapshot.tmp"));
-  }
-  FileStateStore reopened(dir.path);
-  ASSERT_TRUE(reopened.load_snapshot().has_value());
-  EXPECT_EQ(*reopened.load_snapshot(), to_bytes("ckpt"));
-  const auto records = reopened.wal_records();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0], to_bytes("tail"));
-  reopened.wal_append(to_bytes("after"));
-  EXPECT_EQ(reopened.wal_records().size(), 2u);
-}
-
-TEST(FileStateStore, LeftoverWalTmpIgnoredAndRemoved) {
-  // Crash mid-compaction, before the WAL rename: the half-rewritten temp log
-  // must be discarded on open and the committed wal.bin stays authoritative.
-  ScratchDir dir("waltmp");
-  {
-    FileStateStore store(dir.path);
-    store.wal_append(to_bytes("committed"));
-  }
-  {
-    std::ofstream tmp(dir.path / "wal.tmp", std::ios::binary);
-    tmp << "half-written tail";
-  }
-  FileStateStore reopened(dir.path);
-  EXPECT_FALSE(std::filesystem::exists(dir.path / "wal.tmp"));
-  const auto records = reopened.wal_records();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0], to_bytes("committed"));
 }
 
 TEST(FileStateStore, StaleWalAfterSnapshotRenameIsReadable) {
@@ -494,10 +430,8 @@ TEST(FileStateStore, BackendsAgreeOnTheContract) {
     store->wal_append(to_bytes("r3"));
     EXPECT_EQ(store->wal_records().size(), 1u);
     store->wal_append(to_bytes("r4"));
-    store->compact(to_bytes("s2"), 1);  // r3 covered, r4 survives
-    EXPECT_EQ(*store->load_snapshot(), to_bytes("s2"));
-    ASSERT_EQ(store->wal_records().size(), 1u);
-    EXPECT_EQ(store->wal_records()[0], to_bytes("r4"));
+    ASSERT_EQ(store->wal_records().size(), 2u);
+    EXPECT_EQ(store->wal_records()[1], to_bytes("r4"));
   }
 }
 

@@ -58,18 +58,21 @@ Sha256& Sha256::update(BytesView data) {
 }
 
 Sha256::Digest Sha256::finish() {
+  // Pad in the block buffer: 0x80, zeros, then the 64-bit big-endian bit
+  // length in the last 8 bytes, spilling into a second block when fewer
+  // than 8 bytes are left after the 0x80.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(BytesView(&pad, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != kBlockSize - 8) {
-    update(BytesView(&zero, 1));
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > kBlockSize - 8) {
+    std::memset(buffer_ + buffer_len_, 0, kBlockSize - buffer_len_);
+    compress(buffer_);
+    buffer_len_ = 0;
   }
-  std::uint8_t len_bytes[8];
+  std::memset(buffer_ + buffer_len_, 0, kBlockSize - 8 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    buffer_[kBlockSize - 8 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  update(BytesView(len_bytes, 8));
+  compress(buffer_);
 
   Digest out{};
   for (int i = 0; i < 8; ++i) {

@@ -74,19 +74,22 @@ Sha512& Sha512::update(BytesView data) {
 }
 
 Sha512::Digest Sha512::finish() {
-  // SHA-512 pads with a 128-bit length; message sizes here fit in 64 bits.
+  // Pad in the block buffer: 0x80, zeros, then the 128-bit big-endian bit
+  // length in the last 16 bytes (message sizes here fit in 64 bits, so the
+  // high half is zero), spilling into a second block when fewer than 16
+  // bytes are left after the 0x80.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(BytesView(&pad, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != kBlockSize - 16) {
-    update(BytesView(&zero, 1));
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > kBlockSize - 16) {
+    std::memset(buffer_ + buffer_len_, 0, kBlockSize - buffer_len_);
+    compress(buffer_);
+    buffer_len_ = 0;
   }
-  std::uint8_t len_bytes[16] = {};
+  std::memset(buffer_ + buffer_len_, 0, kBlockSize - 8 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
-    len_bytes[8 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    buffer_[kBlockSize - 8 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  update(BytesView(len_bytes, 16));
+  compress(buffer_);
 
   Digest out{};
   for (int i = 0; i < 8; ++i) {

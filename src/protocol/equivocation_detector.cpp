@@ -81,9 +81,10 @@ void EquivocationDetector::on_gossip(
     const std::vector<ledger::LabeledTransaction>& ltxs) {
   for (const auto& remote : ltxs) {
     const NodeId collector_node = directory_.node_of(remote.collector);
+    const ledger::TxId id = remote.tx.id();  // one hash per label, not per lookup
     const ledger::LabeledTransaction* local = nullptr;
     for (const LabelGen* gen : {&seen_labels_, &seen_labels_prev_}) {
-      const auto tit = gen->find(remote.tx.id());
+      const auto tit = gen->find(id);
       if (tit == gen->end()) continue;
       const auto cit = tit->second.find(remote.collector);
       if (cit != tit->second.end()) {
@@ -105,8 +106,7 @@ void EquivocationDetector::on_gossip(
 
     // Two valid signatures by the same collector over conflicting labels for
     // one transaction: a self-contained equivocation proof.
-    const auto key = std::make_pair(remote.collector.value(),
-                                    to_hex(view(remote.tx.id())));
+    const auto key = std::make_pair(remote.collector.value(), to_hex(view(id)));
     if (!punished_.insert(key).second) continue;
     ++metrics_.equivocations_detected;
     table_.punish_forgery(remote.collector);

@@ -135,7 +135,6 @@ class Governor {
   /// layer's equivocating leader and lying sync peer. Scenario harnesses
   /// flip these per round window; all flags default to honest.
   void set_byzantine(adversary::GovernorByzantine byz) { byz_ = byz; }
-  [[nodiscard]] const adversary::GovernorByzantine& byzantine() const { return byz_; }
 
   /// Checkpoint the governor's durable state — chain, reputation table,
   /// stake ledger, and the unchecked entries with their screening-time
@@ -194,10 +193,8 @@ class Governor {
   }
   /// The context's reliable channel (for its stats), or nullptr in bare mode.
   [[nodiscard]] const auto* channel() const { return ctx_.channel(); }
-  /// Watchdog surfacing for free-running observers: the round the governor
-  /// is currently in and how many consecutive rounds ended without a commit.
+  /// The round the governor is currently in (free-running observers).
   [[nodiscard]] Round current_round() const { return round_; }
-  [[nodiscard]] std::size_t stalled_rounds() const { return stalled_rounds_; }
 
  private:
   void on_argue(const runtime::Message& msg);

@@ -74,6 +74,33 @@ void bm_verify(benchmark::State& state) {
 }
 BENCHMARK(bm_verify)->Name("ed25519_verify");
 
+// A verify through an enrolled key, as every protocol check runs: decoded
+// once, its fixed-base table built by the warm-up verify before timing.
+void bm_verify_enrolled(benchmark::State& state) {
+  Rng rng(5);
+  const SigningKey key(random_seed(rng));
+  const Bytes msg = rng.bytes(128);
+  const Signature sig = key.sign(msg);
+  const VerifyingKey vk = VerifyingKey::enrolled(key.public_key());
+  if (!verify(vk, msg, sig)) state.SkipWithError("enrolled verify rejected");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(verify(vk, msg, sig));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(bm_verify_enrolled)->Name("ed25519_verify_enrolled");
+
+// Building one enrolled key's table: the one-time cost of its first verify.
+void bm_point_table(benchmark::State& state) {
+  Rng rng(14);
+  const SigningKey key(random_seed(rng));
+  const auto p = point_decompress(key.public_key().bytes);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(point_table(*p));
+  }
+}
+BENCHMARK(bm_point_table)->Name("point_table");
+
 void bm_double_scalar(benchmark::State& state) {
   Rng rng(9);
   const SigningKey key(random_seed(rng));
@@ -132,17 +159,23 @@ void bm_vrf_verify(benchmark::State& state) {
 }
 BENCHMARK(bm_vrf_verify)->Name("vrf_verify");
 
-void bm_batch_verify(benchmark::State& state) {
-  Rng rng(11);
+std::vector<BatchItem> signed_items(Rng& rng, std::int64_t n, bool enrolled) {
   std::vector<BatchItem> items;
-  for (int i = 0; i < state.range(0); ++i) {
+  for (std::int64_t i = 0; i < n; ++i) {
     const SigningKey key(random_seed(rng));
     BatchItem item;
-    item.pub = key.public_key();
+    item.pub = enrolled ? VerifyingKey::enrolled(key.public_key())
+                        : VerifyingKey(key.public_key());
     item.message = rng.bytes(64);
     item.sig = key.sign(item.message);
     items.push_back(std::move(item));
   }
+  return items;
+}
+
+void bm_batch_verify(benchmark::State& state) {
+  Rng rng(11);
+  const std::vector<BatchItem> items = signed_items(rng, state.range(0), false);
   for (auto _ : state) {
     benchmark::DoNotOptimize(verify_batch(items, rng));
   }
@@ -159,6 +192,26 @@ BENCHMARK(bm_batch_verify)
     ->Arg(16)
     ->Arg(64)
     ->Name("batch_verify/sigs");
+
+// The intake's case: every key enrolled, tables built by a warm-up batch.
+// Against n x ed25519_verify_enrolled this locates the batch crossover
+// (protocol::VerifiedBatch::kBatchCrossover).
+void bm_batch_verify_enrolled(benchmark::State& state) {
+  Rng rng(11);
+  const std::vector<BatchItem> items = signed_items(rng, state.range(0), true);
+  if (!verify_batch(items, rng)) state.SkipWithError("enrolled batch rejected");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(verify_batch(items, rng));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(bm_batch_verify_enrolled)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(3)
+    ->Arg(4)
+    ->Arg(8)
+    ->Name("batch_verify_enrolled/sigs");
 
 void bm_merkle_build(benchmark::State& state) {
   Rng rng(8);
@@ -202,6 +255,9 @@ void write_json_summary() {
   add("ed25519_sign", 500, [&] { benchmark::DoNotOptimize(key.sign(msg)); });
   add("ed25519_verify", 500,
       [&] { benchmark::DoNotOptimize(verify(key.public_key(), msg, sig)); });
+  const VerifyingKey enrolled = VerifyingKey::enrolled(key.public_key());
+  add("ed25519_verify_enrolled", 500,
+      [&] { benchmark::DoNotOptimize(verify(enrolled, msg, sig)); });
   add("vrf_evaluate", 200,
       [&] { benchmark::DoNotOptimize(vrf_evaluate(key, alpha)); });
   add("vrf_verify", 200, [&] {

@@ -57,8 +57,10 @@ bool verify_batch(std::span<const BatchItem> items, Rng& rng) {
   if (items.empty()) return true;
 
   Scalar b_coeff = sc_zero();
-  std::vector<std::pair<Scalar, Point>> terms;
+  std::vector<std::pair<Scalar, Point>> terms;  // -R_i, and -A_i of one-shot keys
+  std::vector<std::pair<Scalar, const PointTable*>> tabled;  // -A_i of enrolled keys
   terms.reserve(items.size() * 2);
+  tabled.reserve(items.size());
 
   for (const BatchItem& item : items) {
     DecodedItem d;
@@ -68,12 +70,18 @@ bool verify_batch(std::span<const BatchItem> items, Rng& rng) {
     // Accumulate: (sum z_i S_i) B - sum z_i R_i - sum z_i k_i A_i == 0.
     b_coeff = sc_add(b_coeff, sc_muladd(z, d.s, sc_zero()));
     terms.emplace_back(z, point_neg(d.r));
-    terms.emplace_back(sc_muladd(z, d.k, sc_zero()), point_neg(*item.pub.point()));
+    const Scalar zk = sc_muladd(z, d.k, sc_zero());
+    if (const PointTable* table = item.pub.table()) {
+      tabled.emplace_back(zk, table);
+    } else {
+      terms.emplace_back(zk, point_neg(*item.pub.point()));
+    }
   }
 
   // Cofactored, like verify(): small-order components cancel under [8]
   // whatever the z_i, so the batch accepts exactly what verify() accepts.
-  return point_is_identity(point_mul_by_cofactor(point_multi_scalar_mul(terms, b_coeff)));
+  return point_is_identity(
+      point_mul_by_cofactor(point_multi_scalar_mul(terms, tabled, b_coeff)));
 }
 
 std::vector<bool> verify_batch_detailed(std::span<const BatchItem> items, Rng& rng) {

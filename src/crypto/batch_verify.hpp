@@ -9,7 +9,7 @@
 namespace repchain::crypto {
 
 /// One signature in a batch. The key is held decoded (a PublicKey converts
-/// implicitly, decoding once).
+/// implicitly, decoding once); a copy of an enrolled key shares its table.
 struct BatchItem {
   VerifyingKey pub;
   Bytes message;
@@ -29,11 +29,16 @@ struct BatchItem {
 /// falls back to per-signature verification to locate offenders (see
 /// verify_batch_detailed).
 ///
-/// The check is one point_multi_scalar_mul over 2n variable terms plus B:
-/// the ~253 doublings are shared by the whole batch, each R_i term adds
-/// ~21 additions (128-bit z_i) and each A_i term ~42, on top of 8 table
-/// points per term. Each item still pays one decompression (R_i); keys come
-/// decoded. Per signature this undercuts verify() from two items on.
+/// The check is one point_multi_scalar_mul with one doubling chain shared
+/// by the whole batch. Each R_i is an untabled term: 8 cached multiples
+/// and ~21 additions (128-bit z_i), and it sets the chain to ~128
+/// doublings. Each A_i of an enrolled key is a tabled term (~42 additions
+/// against its PointTable); a one-shot key's A_i is untabled and lengthens
+/// the chain to ~253. Each item still pays one decompression (R_i); keys
+/// come decoded. With enrolled keys a single verify() runs 64 doublings,
+/// so the batch is cheaper per signature from three items on
+/// (protocol::VerifiedBatch::kBatchCrossover); with one-shot keys, from
+/// two.
 ///
 /// This accelerates bulk ingestion paths (a governor verifying a round's
 /// uploads); correctness-critical single checks keep using verify().

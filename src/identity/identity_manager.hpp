@@ -66,8 +66,10 @@ class IdentityManager {
  private:
   /// A certificate with its public key decoded once, at enrolment. Keys are
   /// fixed for the life of a permissioned deployment, so no verify pays the
-  /// decompression again. An off-curve key is still enrolled; it verifies
-  /// nothing.
+  /// decompression again, and the key expands into its fixed-base table on
+  /// its first verification (crypto::VerifyingKey::enrolled), not here:
+  /// enrolment stays as cheap as a decode. An off-curve key is still
+  /// enrolled; it verifies nothing.
   struct Member {
     Certificate cert;
     crypto::VerifyingKey key;

@@ -23,7 +23,10 @@ namespace repchain::protocol {
 /// when the combined check fails. verify_batch checks verify()'s cofactored
 /// equation, so the per-item verdicts are exactly what per-item
 /// authenticate/authorize calls would have produced, at a fraction of the
-/// scalar-multiplication cost.
+/// scalar-multiplication cost. A wave smaller than kBatchCrossover is
+/// verified item by item instead: with enrolled keys' tables, a single
+/// verify runs a 64-doubling chain and the batch equation a 128-doubling
+/// one, so the batch only pays from three signatures on.
 ///
 /// The Rng passed to settle() must be a private derived stream: coefficient
 /// draws depend on batch composition and must never perturb behavioral
@@ -31,6 +34,11 @@ namespace repchain::protocol {
 class VerifiedBatch {
  public:
   using Index = std::size_t;
+
+  /// Fewest pending signatures settled by one batch equation; smaller waves
+  /// run per-item verify. Measured with bench_crypto
+  /// (batch_verify_enrolled/sigs/n against n x ed25519_verify_enrolled).
+  static constexpr std::size_t kBatchCrossover = 3;
 
   /// Queue one signature for bulk verification.
   Index add(const crypto::VerifyingKey& key, Bytes message, const crypto::Signature& sig) {
@@ -48,7 +56,8 @@ class VerifiedBatch {
     return verdicts_.size() - 1;
   }
 
-  /// Run the queued checks: one verify_batch over every pending item, with
+  /// Run the queued checks: below kBatchCrossover pending items, one verify
+  /// per item; otherwise one verify_batch over every pending item, with
   /// per-item fallback on failure.
   void settle(Rng& rng);
 
